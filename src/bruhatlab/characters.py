@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .chevalley import Chevalley, Mat
-from .fieldtower import _is_prime
+from .fieldtower import _is_prime, _prime_factors
 
 PRIME_SEARCH_BOUND = 2**31
 
@@ -29,17 +29,7 @@ class CoeffField:
 
 def _smallest_primitive_root(ell: int) -> int:
     phi = ell - 1
-    prime_factors = []
-    n = phi
-    t = 2
-    while t * t <= n:
-        if n % t == 0:
-            prime_factors.append(t)
-            while n % t == 0:
-                n //= t
-        t += 1
-    if n > 1:
-        prime_factors.append(n)
+    prime_factors = _prime_factors(phi)
     for w in range(2, ell):
         if all(pow(w, phi // f, ell) != 1 for f in prime_factors):
             return w
@@ -138,10 +128,10 @@ class Characters:
         Jp = frozenset(Jp)
         if not Jp <= self.i_theta(theta):
             raise ValueError("J' must be contained in I(theta)")
-        bf = self.chev.bruhat_form(p)
-        if not set(bf.w.word) <= Jp:
+        w, _, t = self.chev.bruhat_cell(p)
+        if not set(w.word) <= Jp:
             raise ValueError("element not in the parabolic subgroup P_J'")
-        return self.eval_diag(theta, bf.t)
+        return self.eval_diag(theta, t)
 
     # -- central characters and blocks ----------------------------------------
 

@@ -5,6 +5,11 @@ Provides root subgroups, coroots, Weyl representatives, the Bruhat normal
 form g = u * wdot(w) * t * v with u supported on Phi_{w^-1}^-, rank-1
 structure constants, and canonical enumeration of U_k, T_k, B_k, G_k,
 parabolic subsets and centers at each tower level.
+
+Two decompositions run the same pivot elimination and share one
+unipotent-peeling routine: `bruhat_cell` returns (w, u, t) only and is the
+fast path of every module action; `bruhat_form` also builds the right factor
+v, for the callers that need it and as the test oracle of `bruhat_cell`.
 """
 
 from __future__ import annotations
@@ -45,6 +50,8 @@ class Chevalley:
         )
         self._sdot_cache: dict[int, Mat] = {}
         self._wdot_cache: dict[tuple, Mat] = {}
+        self._wdot_inv_cache: dict[tuple, tuple] = {}
+        self._peel_cache: dict[tuple, tuple] = {}
         self._enum_cache: dict[tuple, list] = {}
 
     # -- raw matrix arithmetic ----------------------------------------------
@@ -105,10 +112,6 @@ class Chevalley:
                     f = tw.mul(M[r][col], inv)
                     M[r] = [tw.sub(x, tw.mul(f, y)) for x, y in zip(M[r], M[col])]
         return acc
-
-    def transpose(self, A: Mat) -> Mat:
-        m = self.m
-        return tuple(A[j * m + i] for i in range(m) for j in range(m))
 
     # -- generators --------------------------------------------------------
 
@@ -191,6 +194,51 @@ class Chevalley:
 
     # -- Bruhat normal form ----------------------------------------------------
 
+    def _wdot_inv_rows(self, w: WeylElt) -> tuple:
+        """wdot(w)^-1 as the (column, value) of the one nonzero entry per row."""
+        key = w.perm
+        if key not in self._wdot_inv_cache:
+            m, zero = self.m, self.tower.ZERO
+            winv = self.mat_inv(self.wdot(w))
+            self._wdot_inv_cache[key] = tuple(
+                next((j, winv[i * m + j]) for j in range(m) if winv[i * m + j] != zero)
+                for i in range(m)
+            )
+        return self._wdot_inv_cache[key]
+
+    def _peel_order(self, x: WeylElt) -> tuple:
+        """Phi_x^- positions in ascending height, then by row."""
+        key = x.perm
+        if key not in self._peel_cache:
+            self._peel_cache[key] = tuple(
+                sorted(
+                    self.rs.phi_minus_pairs(x),
+                    key=lambda ab: (ab[1] - ab[0], ab[0]),
+                )
+            )
+        return self._peel_cache[key]
+
+    def peel_unipotent(self, R: list, x: WeylElt) -> Mat:
+        """Split unitriangular rows R in place as u * R' with u supported on
+        Phi_x^- positions only; return u and leave R' in R.
+
+        Peeling in ascending height lets disturbances flow upward only, so
+        R' ends up zero at every Phi_x^- position.
+        """
+        tw, m = self.tower, self.m
+        u = list(self.identity)
+        for a, b in self._peel_order(x):
+            c = R[a][b]
+            if c == tw.ZERO:
+                continue
+            Ra, Rb = R[a], R[b]
+            for j2 in range(b, m):
+                Ra[j2] = tw.sub(Ra[j2], tw.mul(c, Rb[j2]))
+            # u <- u * eps((a, b), c): add c times column a to column b
+            for i in range(a + 1):
+                u[i * m + b] = tw.add(u[i * m + b], tw.mul(c, u[i * m + a]))
+        return tuple(u)
+
     def bruhat_form(self, g: Mat) -> BruhatForm:
         tw, m = self.tower, self.m
         M = [list(g[i * m + j] for j in range(m)) for i in range(m)]
@@ -232,26 +280,11 @@ class Chevalley:
         t_mat = self.mat_mul(self.mat_inv(self.wdot(w)), monomial)
         t = self.diag_of(t_mat)
         assert t_mat == self.torus(t), "pivot pattern mismatch"
-        u0 = tuple(x for row in u_acc for x in row)
         v0 = tuple(x for row in v_acc for x in row)
 
-        # split u0 = u * u2 with u supported on Phi_{w^-1}^- positions only,
-        # peeling in ascending height so disturbances only flow upward
-        winv = self.rs.inv(w)
-        allowed = set(self.rs.phi_minus_pairs(winv))
-        R = [list(u0[i * m : (i + 1) * m]) for i in range(m)]
-        u_factors = []
-        for a, b in sorted(
-            ((a, b) for a in range(m) for b in range(a + 1, m)),
-            key=lambda ab: (ab[1] - ab[0], ab[0]),
-        ):
-            c = R[a][b]
-            if (a, b) in allowed and c != tw.ZERO:
-                u_factors.append(self.eps((a, b), c))
-                for j2 in range(b, m):
-                    R[a][j2] = tw.sub(R[a][j2], tw.mul(c, R[b][j2]))
-        u = self.mat_prod(u_factors)
-        u2 = tuple(x for row in R for x in row)
+        # split u0 = u * u2 with u supported on Phi_{w^-1}^- positions only
+        u = self.peel_unipotent(u_acc, self.rs.inv(w))
+        u2 = tuple(x for row in u_acc for x in row)
         # push the complementary factor through wdot and t into the right part
         x = self.mat_prod(
             [self.mat_inv(self.wdot(w)), u2, self.wdot(w)]
@@ -261,11 +294,56 @@ class Chevalley:
         assert self.is_unitriangular(v), "right factor not unipotent"
         return BruhatForm(u=u, w=w, t=t, v=v)
 
+    def bruhat_cell(self, g: Mat) -> tuple:
+        """(w, u, t) of the Bruhat form of g, without building v.
+
+        The elimination of bruhat_form with each step's row operations done
+        first: once they have cleared the pivot column, the column operations
+        that build v change only the pivot row, and only to zero it right of
+        the pivot, so that row is zeroed directly.  Both checks of
+        bruhat_form stay, in a cheap form: the pivot pattern must match the
+        nonzero pattern of wdot(w)^-1, and the factor left after peeling u
+        must vanish at every Phi_{w^-1}^- position, which is exactly v being
+        unipotent.
+        """
+        tw, m = self.tower, self.m
+        zero, mul, sub, add = tw.ZERO, tw.mul, tw.sub, tw.add
+        M = [list(g[i * m : (i + 1) * m]) for i in range(m)]
+        U = [list(self.identity[i * m : (i + 1) * m]) for i in range(m)]
+        used = [False] * m
+        perm_col = [0] * m
+        for j in range(m):
+            piv = max(r for r in range(m) if not used[r] and M[r][j] != zero)
+            used[piv] = True
+            perm_col[j] = piv
+            prow = M[piv]
+            inv = tw.inv(prow[j])
+            for r in range(piv):
+                c = mul(M[r][j], inv)
+                if c != zero:
+                    row = M[r]
+                    for j2 in range(j, m):
+                        row[j2] = sub(row[j2], mul(c, prow[j2]))
+                    # U <- U (I + c E_{r,piv}); U is upper unitriangular
+                    for i in range(r + 1):
+                        U[i][piv] = add(U[i][piv], mul(c, U[i][r]))
+            for j2 in range(j + 1, m):
+                prow[j2] = zero
+        w = self.rs.by_perm(perm_col)
+        # t = diagonal of wdot(w)^-1 times the monomial matrix left in M
+        t = []
+        for i, (col, s) in enumerate(self._wdot_inv_rows(w)):
+            assert col == perm_col[i], "pivot pattern mismatch"
+            t.append(mul(s, M[col][i]))
+        winv = self.rs.inv(w)
+        u = self.peel_unipotent(U, winv)
+        assert all(
+            U[a][b] == zero for a, b in self._peel_order(winv)
+        ), "right factor not unipotent"
+        return w, u, tuple(t)
+
     def reassemble(self, bf: BruhatForm) -> Mat:
         return self.mat_prod([bf.u, self.wdot(bf.w), self.torus(bf.t), bf.v])
-
-    def cell_of(self, g: Mat) -> WeylElt:
-        return self.bruhat_form(g).w
 
     # -- rank-1 structure constants ---------------------------------------------
 
@@ -401,20 +479,3 @@ class Chevalley:
             out.append(self.torus((zeta,) * mm))
         out.sort(key=lambda A: tw.scalar_index(self.diag_of(A)[0]))
         return out
-
-    def enumerate_subgroup(self, kind: str, k: int, w=None, J=None):
-        if kind == "U":
-            return self.enum_U(k)
-        if kind == "T":
-            return self.enum_T(k)
-        if kind == "B":
-            return self.enum_B(k)
-        if kind == "G":
-            return self.enum_G(k)
-        if kind == "U_w":
-            return self.enum_U_w(w, k)
-        if kind == "U'_w":
-            return self.enum_U_w(w, k, plus=True)
-        if kind == "P_J":
-            return self.enum_P(J, k)
-        raise ValueError(f"unknown enumeration kind {kind!r}")

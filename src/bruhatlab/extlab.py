@@ -204,6 +204,7 @@ class ExtContext:
         self._gamma: list | None = None
         self._g_rest: np.ndarray | None = None
         self._g_rest_count = 0
+        self._parab_terms: list | None = None
 
     # -- elementary moves ---------------------------------------------------
 
@@ -368,20 +369,19 @@ class ExtContext:
 
     def xi(self, u: Mat, check_eigen: bool = True) -> dict:
         self.require_u(u)
-        cx, ch = self.chev, self.chars
+        cx = self.chev
         D = self.mu_ctx.D
         eta = np.zeros(D, dtype=np.int64)
-        parab = cx.enum_P(self.Jp, self.i)
-        for p in parab:
-            coeff = _modinv(ch.eval_parabolic(self.lam, self.Jp, p), self.ell)
+        terms = self._parabolic_terms()
+        for p, _, coeff in terms:
             vec = self.class_of(cx.mat_prod([p, u, self.w0dot]))
             eta = (eta + coeff * vec) % self.ell
         report = {"u": self.u_serial(u)}
         if check_eigen:
             ok = True
-            for p in parab:
+            for p, value, _ in terms:
                 lhs = self._act_class(p, eta)
-                rhs = ch.eval_parabolic(self.lam, self.Jp, p) * eta % self.ell
+                rhs = value * eta % self.ell
                 if not np.array_equal(lhs, rhs):
                     ok = False
                     break
@@ -396,6 +396,17 @@ class ExtContext:
         report["xi_in_top_cell_span"] = bool(self.S_subspace().contains(xi))
         report["vector"] = xi
         return report
+
+    def _parabolic_terms(self) -> list:
+        """(p, lambda(p), 1/lambda(p)) over P_{J'} at level i, in enumeration
+        order.  They do not depend on u, so xi builds them once, on first use."""
+        if self._parab_terms is None:
+            ch, terms = self.chars, []
+            for p in self.chev.enum_P(self.Jp, self.i):
+                value = ch.eval_parabolic(self.lam, self.Jp, p)
+                terms.append((p, value, _modinv(value, self.ell)))
+            self._parab_terms = terms
+        return self._parab_terms
 
     def _act_class(self, g: Mat, dense: np.ndarray) -> np.ndarray:
         out = self.mu_ctx.act(g, self.mu_ctx.from_dense(dense))

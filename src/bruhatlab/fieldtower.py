@@ -192,6 +192,9 @@ class FieldTower:
             s = _padd(int(exp[k]), 1, p, d)
             zech[k] = log[s]
         self.exp_table, self.log_table, self.zech = exp, log, zech
+        # the scalar ops index a plain list so that codes stay Python ints;
+        # the array is for the kernels
+        self._zech = zech.tolist()
 
         # level data: level k = unique subgroup of order q^{k!}-1, plus zero
         self._level_size = {k: self.q ** math.factorial(k) for k in range(1, N + 1)}
@@ -234,7 +237,7 @@ class FieldTower:
             return y
         if y == self.ZERO:
             return x
-        z = self.zech[(y - x) % self.Q1]
+        z = self._zech[(y - x) % self.Q1]
         if z == self.ZERO:
             return self.ZERO
         return (x + z) % self.Q1
@@ -341,9 +344,6 @@ class FieldTower:
     def scalar_index(self, x: int) -> int:
         """Canonical enumeration index: zero first, then by ambient dlog."""
         return 0 if x == self.ZERO else 1 + x
-
-    def scalar_repr(self, x: int) -> str:
-        return "0" if x == self.ZERO else ("1" if x == self.ONE else f"g^{x}")
 
     def __repr__(self) -> str:
         return f"FieldTower(p={self.p}, a={self.a}, N={self.N}, |F|={self.Q})"

@@ -176,9 +176,8 @@ class ModuleContext:
     # -- the module action -----------------------------------------------------
 
     def act_key(self, g: Mat, key):
-        bf = self.chev.bruhat_form(self.chev.mat_mul(g, self.key_mat(key)))
-        coeff = self.chars.eval_diag(self.theta, bf.t)
-        return (bf.w, bf.u), coeff
+        w, u, t = self.chev.bruhat_cell(self.chev.mat_mul(g, self.key_mat(key)))
+        return (w, u), self.chars.eval_diag(self.theta, t)
 
     def act(self, g: Mat, vec: dict) -> dict:
         if not self.chev.in_level(g, self.k):
@@ -502,30 +501,17 @@ class InducedContext:
 
     def coset_key(self, g: Mat):
         """Canonical basis key of the coset g P_{J'}."""
-        cx, tw = self.chev, self.tower
-        bf = cx.bruhat_form(g)
-        x = self._min_rep(bf.w)
-        allowed = set(self.rs.phi_minus_pairs(self.rs.inv(x)))
-        m = cx.m
-        R = [list(bf.u[i * m : (i + 1) * m]) for i in range(m)]
-        factors = []
-        for a, b in sorted(
-            ((a, b) for a in range(m) for b in range(a + 1, m)),
-            key=lambda ab: (ab[1] - ab[0], ab[0]),
-        ):
-            c = R[a][b]
-            if (a, b) in allowed and c != tw.ZERO:
-                factors.append(cx.eps((a, b), c))
-                for j2 in range(b, m):
-                    R[a][j2] = tw.sub(R[a][j2], tw.mul(c, R[b][j2]))
-        return (x, cx.mat_prod(factors))
+        cx, m = self.chev, self.chev.m
+        w, u, _ = cx.bruhat_cell(g)
+        x = self._min_rep(w)
+        R = [list(u[i * m : (i + 1) * m]) for i in range(m)]
+        return (x, cx.peel_unipotent(R, self.rs.inv(x)))
 
     def act_key(self, g: Mat, key):
-        key2 = self.coset_key(self.chev.mat_mul(g, self.key_mat(key)))
-        rep2 = self.key_mat(key2)
-        p = self.chev.mat_mul(
-            self.chev.mat_inv(rep2), self.chev.mat_mul(g, self.key_mat(key))
-        )
+        cx = self.chev
+        gk = cx.mat_mul(g, self.key_mat(key))
+        key2 = self.coset_key(gk)
+        p = cx.mat_mul(cx.mat_inv(self.key_mat(key2)), gk)
         coeff = self.chars.eval_parabolic(self.theta, self.Jp, p)
         return key2, coeff
 

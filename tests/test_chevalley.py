@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bruhatlab.chevalley import Chevalley
 from bruhatlab.fieldtower import BudgetError, build_tower
@@ -107,6 +109,7 @@ def test_bruhat_round_trip_exhaustive():
                         assert (a, b) in allowed
             assert cx.is_unitriangular(bf.u)
             assert cx.is_unitriangular(bf.v)
+            assert cx.bruhat_cell(g) == (bf.w, bf.u, bf.t)
 
 
 def test_bruhat_round_trip_random_level2():
@@ -127,7 +130,82 @@ def test_bruhat_round_trip_random_level2():
         )
         bf = cx.bruhat_form(g)
         assert cx.reassemble(bf) == g
+        assert cx.bruhat_cell(g) == (bf.w, bf.u, bf.t)
         count += 1
+
+
+def _det_one(cx, entries):
+    """The matrix with the given entries, first row scaled to det 1; None
+    when singular."""
+    tw, m = cx.tower, cx.m
+    g = tuple(entries)
+    d = cx.det(g)
+    if d == tw.ZERO:
+        return None
+    return tuple(tw.mul(x, tw.inv(d)) if i < m else x for i, x in enumerate(g))
+
+
+@st.composite
+def det_one_matrices(draw):
+    p, r = draw(st.sampled_from([(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3), (3, 3)]))
+    cx = ctx(p, 1, 2, r)
+    codes = st.sampled_from(cx.tower.level_members(2))
+    g = draw(
+        st.lists(codes, min_size=cx.m**2, max_size=cx.m**2)
+        .map(lambda e: _det_one(cx, e))
+        .filter(lambda g: g is not None)
+    )
+    return cx, g
+
+
+@settings(max_examples=300, deadline=None)
+@given(det_one_matrices())
+def test_bruhat_cell_matches_form_property(case):
+    cx, g = case
+    bf = cx.bruhat_form(g)
+    w, u, t = cx.bruhat_cell(g)
+    assert (w, u, t) == (bf.w, bf.u, bf.t)
+    assert cx.mat_prod([u, cx.wdot(w), cx.torus(t), bf.v]) == g
+
+
+def test_bruhat_cell_pivot_pattern_guard():
+    cx = ctx(3, 1, 2, 2)
+    s1 = cx.rs.s(1)
+    g = cx.sdot(1)
+    assert cx.bruhat_cell(g)[0] == s1
+    # swap the nonzero columns of the first two rows of the cached wdot^-1
+    rows = list(cx._wdot_inv_cache[s1.perm])
+    rows[0], rows[1] = (rows[1][0], rows[0][1]), (rows[0][0], rows[1][1])
+    cx._wdot_inv_cache[s1.perm] = tuple(rows)
+    with pytest.raises(AssertionError, match="pivot pattern mismatch"):
+        cx.bruhat_cell(g)
+
+
+def test_peel_unipotent_splits_on_phi_minus():
+    cx = ctx(3, 1, 2, 3)
+    tw, m = cx.tower, cx.m
+    zero = tw.ZERO
+    for x in cx.rs.elements:
+        for g in cx.enum_U(1)[::97]:
+            R = [list(g[i * m : (i + 1) * m]) for i in range(m)]
+            u = cx.peel_unipotent(R, x)
+            rest = tuple(c for row in R for c in row)
+            assert cx.mat_mul(u, rest) == g
+            allowed = set(cx.rs.phi_minus_pairs(x))
+            for a, b in cx.rs.pos_pairs:
+                # u lives on Phi_x^-, and R' vanishes there
+                held = rest if (a, b) in allowed else u
+                assert held[a * m + b] == zero
+
+
+def test_codes_are_python_ints():
+    cx = ctx(11, 1, 2, 1)
+    G = cx.enum_G(1)
+    assert len(G) == 1320
+    for g in G:
+        assert all(type(c) is int for c in g)
+        w, u, t = cx.bruhat_cell(g)
+        assert all(type(c) is int for c in u + t)
 
 
 def test_cell_sizes():
