@@ -69,7 +69,12 @@ class Chevalley:
         return tuple(out)
 
     def mat_prod(self, mats) -> Mat:
-        return reduce(self.mat_mul, mats, self.identity)
+        """Product of the factors in order; the identity for none."""
+        mats = iter(mats)
+        first = next(mats, None)
+        if first is None:
+            return self.identity
+        return reduce(self.mat_mul, mats, first)
 
     def mat_inv(self, A: Mat) -> Mat:
         tw, m = self.tower, self.m

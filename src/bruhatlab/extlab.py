@@ -18,6 +18,8 @@ dict of ints, bools, and strings, reproducible across runs.
 from __future__ import annotations
 
 import random
+import weakref
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -698,9 +700,84 @@ def least_central_witness(chars: Characters, lam, mu):
     return None
 
 
+@dataclass(frozen=True)
+class SplitBlocks:
+    """The untwisted block representation of a split configuration: the
+    matrices of the level generators and of the central witness c0 on the
+    class bases of the two quotients, lambda block first.  The arrays are
+    read-only; they are shared by every SynthExtension of the configuration."""
+
+    dl: int
+    dm: int
+    gens: tuple
+    c0: Mat
+    c0_block: np.ndarray
+    a: int
+    b: int
+
+
+# split_blocks results, per Characters object and normalized configuration
+_SPLIT_BLOCKS: "weakref.WeakKeyDictionary[Characters, dict]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def split_blocks(chars: Characters, lam, mu, J, K, k: int) -> SplitBlocks:
+    """Build, or fetch from the per-Characters memo, the untwisted block
+    representation of the configuration (lambda, J), (mu, K) at level k."""
+    lam, mu = chars.normalize(lam), chars.normalize(mu)
+    J, K = frozenset(J), frozenset(K)
+    memo = _SPLIT_BLOCKS.setdefault(chars, {})
+    key = (lam, mu, J, K, k)
+    if key in memo:
+        return memo[key]
+    c0 = least_central_witness(chars, lam, mu)
+    if c0 is None:
+        raise ValueError("characters agree on the center")
+    # per quotient: its module, the quotient, the class basis and the
+    # pivot columns that give a class its coordinates in that basis
+    quotients = []
+    for theta, S in ((lam, J), (mu, K)):
+        ctx = ModuleContext(chars, theta, k)
+        em = ctx.e_module(S)
+        basis = em.class_basis()
+        piv = [int(np.nonzero(r)[0][0]) for r in basis]
+        quotients.append((ctx, em, basis, piv))
+    dl, dm = (len(q[2]) for q in quotients)
+    n = dl + dm
+
+    def block_mat(g):
+        out = np.zeros((n, n), dtype=np.int64)
+        off = 0
+        for ctx, em, basis, piv in quotients:
+            table = ctx.action_table(g)
+            for b, row in enumerate(basis):
+                img = em.project(ctx.apply_table(table, row))
+                out[off:off + len(basis), off + b] = img[piv]
+            off += len(basis)
+        out.setflags(write=False)
+        return out
+
+    out = SplitBlocks(
+        dl=dl,
+        dm=dm,
+        gens=tuple(block_mat(g) for g in level_generators(chars.chev, k)),
+        c0=c0,
+        c0_block=block_mat(c0),
+        a=chars.eval(lam, c0),
+        b=chars.eval(mu, c0),
+    )
+    memo[key] = out
+    return out
+
+
 class SynthExtension:
     """A finite-level module with designated submodule (the mu-block) and a
-    seeded random filtration-respecting change of basis hiding the splitting."""
+    seeded random filtration-respecting change of basis hiding the splitting.
+
+    The untwisted blocks come from `split_blocks`, built once per
+    configuration; each instance draws its twist R and holds fresh arrays
+    R . M . R^-1, so mutating an instance leaves the shared blocks alone."""
 
     def __init__(
         self,
@@ -713,38 +790,11 @@ class SynthExtension:
         seed: int,
         twist: bool = True,
     ):
+        blocks = split_blocks(chars, lam, mu, J, K, k)
         self.chars = chars
         self.ell = chars.coeff.ell
-        lam_ctx = ModuleContext(chars, lam, k)
-        mu_ctx = ModuleContext(chars, mu, k)
-        self.lam_em = lam_ctx.e_module(frozenset(J))
-        self.mu_em = mu_ctx.e_module(frozenset(K))
-        self.lam_basis = self.lam_em.class_basis()
-        self.mu_basis = self.mu_em.class_basis()
-        self.dl = len(self.lam_basis)
-        self.dm = len(self.mu_basis)
+        self.dl, self.dm = blocks.dl, blocks.dm
         n = self.dl + self.dm
-
-        def coords(basis, em, vec):
-            res = em.project(vec)
-            piv = [int(np.nonzero(r)[0][0]) for r in basis]
-            return np.array([int(res[c]) for c in piv], dtype=np.int64)
-
-        def block_mat(g):
-            out = np.zeros((n, n), dtype=np.int64)
-            for b, row in enumerate(self.lam_basis):
-                img = self.lam_em.project(
-                    lam_ctx.apply_table(lam_ctx.action_table(g), row)
-                )
-                out[:self.dl, b] = coords(self.lam_basis, self.lam_em, img)
-            for b, row in enumerate(self.mu_basis):
-                img = self.mu_em.project(
-                    mu_ctx.apply_table(mu_ctx.action_table(g), row)
-                )
-                out[self.dl:, self.dl + b] = coords(
-                    self.mu_basis, self.mu_em, img
-                )
-            return out
 
         rng = random.Random(seed)
         X = np.array(
@@ -762,15 +812,9 @@ class SynthExtension:
         def conj(Mb):
             return R.dot(Mb).dot(Rinv) % self.ell
 
-        gen_mats = [block_mat(g) for g in level_generators(chars.chev, k)]
-        self.gens = [conj(Mb) for Mb in gen_mats]
-        c0 = least_central_witness(chars, lam, mu)
-        if c0 is None:
-            raise ValueError("characters agree on the center")
-        self.c0 = c0
-        self.a = chars.eval(chars.normalize(lam), c0)
-        self.b = chars.eval(chars.normalize(mu), c0)
-        self.c0_mat = conj(block_mat(c0))
+        self.gens = [conj(Mb) for Mb in blocks.gens]
+        self.c0, self.a, self.b = blocks.c0, blocks.a, blocks.b
+        self.c0_mat = conj(blocks.c0_block)
         self.sub = Subspace(n, self.ell)
         for jj in range(self.dm):
             e = np.zeros(n, dtype=np.int64)
@@ -802,7 +846,11 @@ def central_split(ext: SynthExtension) -> dict:
         total.dim == ext.n and meet.dim == 0 and eigen.dim == ext.dl
     )
     if not complementary:
-        raise AssertionError("central eigenspace failed to split the module")
+        raise AssertionError(
+            "central eigenspace failed to split the module: "
+            f"eigenspace_dim={eigen.dim} sum_dim={total.dim} "
+            f"meet_dim={meet.dim} dl={ext.dl} n={ext.n}"
+        )
     return {
         "a": ext.a,
         "b": ext.b,

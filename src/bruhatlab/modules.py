@@ -488,6 +488,7 @@ class InducedContext:
     to_dense = ModuleContext.to_dense
     from_dense = ModuleContext.from_dense
     key_mat = ModuleContext.key_mat
+    act = ModuleContext.act
     action_table = ModuleContext.action_table
 
     def _min_rep(self, w: WeylElt) -> WeylElt:
@@ -514,19 +515,6 @@ class InducedContext:
         p = cx.mat_mul(cx.mat_inv(self.key_mat(key2)), gk)
         coeff = self.chars.eval_parabolic(self.theta, self.Jp, p)
         return key2, coeff
-
-    def act(self, g: Mat, vec: dict) -> dict:
-        if not self.chev.in_level(g, self.k):
-            raise ValueError(f"group element has entries outside level {self.k}")
-        out: dict = {}
-        for key, c in vec.items():
-            key2, mult = self.act_key(g, key)
-            v = (out.get(key2, 0) + c * mult) % self.ell
-            if v:
-                out[key2] = v
-            else:
-                out.pop(key2, None)
-        return out
 
     def d_generator(self) -> dict:
         out: dict = {}

@@ -73,6 +73,20 @@ def test_torus_conjugation_relation():
             assert lhs == cx.eps((a, b), tw.mul(alpha_t, c))
 
 
+def test_mat_prod_folds_from_first_factor():
+    cx = ctx(2, 1, 2, 2)
+    rng = random.Random(5)
+    G = cx.enum_G(1)
+    assert cx.mat_prod([]) == cx.identity
+    assert cx.mat_prod(iter([])) == cx.identity
+    for _ in range(30):
+        A, B, C = (rng.choice(G) for _ in range(3))
+        assert cx.mat_prod([A]) == A
+        seeded = cx.mat_mul(cx.mat_mul(cx.mat_mul(cx.identity, A), B), C)
+        assert cx.mat_prod([A, B, C]) == seeded
+        assert cx.mat_prod(iter([A, B, C])) == seeded
+
+
 def test_determinants():
     cx = ctx(3, 1, 2, 2)
     tw = cx.tower

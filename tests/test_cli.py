@@ -5,9 +5,11 @@ and CSV files back.  Frozen numbers come from the module-level suites; the
 block counts are re-derived in comments where the arithmetic is short.
 """
 
+import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 from bruhatlab.cli import main
@@ -204,6 +206,51 @@ def test_failed_verification_exits_one(tmp_path, monkeypatch):
     rep = read_json(out, "verify_action")
     assert rep["ok"] is False
     assert rep["first_failure"] == {"theta": [0], "J": [], "ok": False}
+
+
+def test_ext_split_report_digests(tmp_path):
+    # the README split battery: the reports are pinned byte for byte
+    code, out = run(
+        tmp_path, "ext", "split", "group=A1", "p=3", "lam=1", "mu=0",
+        "twists=100",
+    )
+    assert code == 0
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("ext_split.json", "ext_split.csv")
+    }
+    assert digests == {
+        "ext_split.json":
+            "2372587d9a4479da9c83f9980690f43fad3a597821d21a20635f9f1f13172fdb",
+        "ext_split.csv":
+            "1aca94d69c2477a37039c7e902e67733d11dc3cdf2aaceba4aeb267eb544a0f1",
+    }
+
+
+def test_ext_split_failure_reports_witness(tmp_path, monkeypatch):
+    # no real twist fails to split, so a scalar central element (whose
+    # eigenspace is the whole module) stands in for a broken one
+    from bruhatlab import cli as climod
+
+    class ScalarCenter(climod.SynthExtension):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.c0_mat = self.a * np.eye(self.n, dtype=np.int64) % self.ell
+
+    monkeypatch.setattr(climod, "SynthExtension", ScalarCenter)
+    code, out = run(
+        tmp_path, "ext", "split", "group=A1", "p=3", "lam=1", "mu=0",
+        "twists=2",
+    )
+    assert code == 1
+    rep = read_json(out, "ext_split")
+    assert rep["ok"] is False
+    for r in rep["runs"]:
+        assert r["ok"] is False
+        assert r["error"] == (
+            "central eigenspace failed to split the module: "
+            "eigenspace_dim=5 sum_dim=5 meet_dim=1 dl=4 n=5"
+        )
 
 
 def test_ell_override(tmp_path):

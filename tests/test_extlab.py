@@ -23,6 +23,7 @@ from bruhatlab.extlab import (
     central_split,
     least_central_witness,
     nullspace_coeffs,
+    split_blocks,
     subspace_intersection,
 )
 from bruhatlab.fieldtower import BudgetError, build_tower
@@ -513,3 +514,98 @@ def test_split_requires_separating_characters():
     ext.b = ext.a  # force the degenerate hypothesis
     with pytest.raises(ValueError):
         central_split(ext)
+
+
+def test_split_fails_fast_when_characters_agree(monkeypatch):
+    def no_quotients(self, J):
+        raise RuntimeError("e_module built before the center check")
+
+    monkeypatch.setattr(ModuleContext, "e_module", no_quotients)
+    ch = chars_for(3, 1, 2, 1)
+    with pytest.raises(ValueError, match="agree on the center"):
+        SynthExtension(ch, (1,), (1,), FS, FS, 1, seed=0)
+
+
+def _split_fields(ext):
+    return (
+        [g.tolist() for g in ext.gens],
+        ext.c0_mat.tolist(),
+        ext.a,
+        ext.b,
+        ext.dl,
+        ext.dm,
+    )
+
+
+def test_split_blocks_memo_matches_fresh_build():
+    # one shared Characters serves interleaved configurations, in both
+    # orders and sharing lambda or mu; each result must equal a build on a
+    # fresh Characters (not the cached chars_for), whose memo starts empty
+    shared = chars_for(3, 1, 2, 1)
+    pairs = (((1,), (0,)), ((0,), (1,)), ((1,), (2,)), ((2,), (1,)))
+    for seed in range(10):
+        for lam, mu in pairs:
+            got = SynthExtension(shared, lam, mu, FS, FS, 1, seed=seed)
+            fresh_chars = Characters(Chevalley(build_tower(3, 1, 2), build_A(1)))
+            fresh = SynthExtension(fresh_chars, lam, mu, FS, FS, 1, seed=seed)
+            assert _split_fields(got) == _split_fields(fresh), (seed, lam, mu)
+    # equivalent spellings of a configuration share one memo entry
+    m = shared.coeff.modulus
+    assert split_blocks(shared, (1,), (0,), FS, FS, 1) is split_blocks(
+        shared, [1 + m], (m,), set(), [], 1
+    )
+    # the untwisted extension off the shared memo is still block-diagonal
+    ext = SynthExtension(shared, (1,), (0,), FS, FS, 1, seed=3, twist=False)
+    dl, n = ext.dl, ext.n
+    assert np.array_equal(
+        ext.c0_mat[:dl, :dl], 16 * np.eye(dl, dtype=np.int64)
+    )
+    assert np.array_equal(ext.c0_mat[dl:, dl:], np.eye(n - dl, dtype=np.int64))
+    assert not ext.c0_mat[dl:, :dl].any() and not ext.c0_mat[:dl, dl:].any()
+
+
+def test_split_blocks_are_read_only():
+    ch = chars_for(3, 1, 2, 1)
+    blocks = split_blocks(ch, (1,), (0,), FS, FS, 1)
+    for Mb in (*blocks.gens, blocks.c0_block):
+        assert not Mb.flags.writeable
+        with pytest.raises(ValueError):
+            Mb[0, 0] = 1
+
+
+def test_split_instances_do_not_share_state():
+    ch = chars_for(3, 1, 2, 1)
+    first = SynthExtension(ch, (1,), (0,), FS, FS, 1, seed=0, twist=False)
+    first.b = first.a
+    first.c0_mat[:] = 0
+    first.gens[0][:] = 0
+    second = SynthExtension(ch, (1,), (0,), FS, FS, 1, seed=0, twist=False)
+    assert (second.a, second.b) == (16, 1)
+    dl, n = second.dl, second.n
+    assert np.array_equal(
+        second.c0_mat[:dl, :dl], 16 * np.eye(dl, dtype=np.int64)
+    )
+    assert np.array_equal(
+        second.c0_mat[dl:, dl:], np.eye(n - dl, dtype=np.int64)
+    )
+    assert second.gens[0].any()
+    assert central_split(second)["complementary"]
+
+
+def test_central_split_failure_names_its_witness():
+    ch = chars_for(3, 1, 2, 1)
+    ext = SynthExtension(ch, (1,), (0,), FS, FS, 1, seed=0)
+    # a scalar central element: its a-eigenspace is the whole module
+    ext.c0_mat = ext.a * np.eye(ext.n, dtype=np.int64) % ext.ell
+    with pytest.raises(AssertionError) as err:
+        central_split(ext)
+    msg = str(err.value)
+    assert msg.startswith("central eigenspace failed to split the module: ")
+    for field in (
+        f"eigenspace_dim={ext.n}",
+        f"sum_dim={ext.n}",
+        f"meet_dim={ext.dm}",
+        f"dl={ext.dl}",
+        f"n={ext.n}",
+    ):
+        assert field in msg.split(), (field, msg)
