@@ -36,15 +36,26 @@ def _smallest_primitive_root(ell: int) -> int:
     raise AssertionError("no primitive root (impossible for prime modulus)")
 
 
-def make_coeff_field(q: int, N: int, p: int | None = None) -> CoeffField:
+def make_coeff_field(
+    q: int, N: int, p: int | None = None, ell: int | None = None
+) -> CoeffField:
+    """The coefficient field for the tower F_{q^{N!}}: the smallest prime ell
+    with ell = 1 mod q^{N!}-1, or the given prime `ell` when it has those
+    roots of unity (ValueError otherwise)."""
     modulus = q**math.factorial(N) - 1
-    ell = modulus + 1
-    while True:
-        if ell > PRIME_SEARCH_BOUND:
-            raise RuntimeError("prime search exceeded 2^31")
-        if _is_prime(ell):
-            break
-        ell += modulus
+    if ell:
+        if not _is_prime(ell):
+            raise ValueError("ell override must be prime")
+        if (ell - 1) % modulus:
+            raise ValueError("ell override lacks the needed roots of unity")
+    else:
+        ell = modulus + 1
+        while True:
+            if ell > PRIME_SEARCH_BOUND:
+                raise RuntimeError("prime search exceeded 2^31")
+            if _is_prime(ell):
+                break
+            ell += modulus
     if ell == 2:
         omega = 1  # F_2^* is trivial
     else:

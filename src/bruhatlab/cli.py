@@ -18,10 +18,10 @@ import os
 import random
 import sys
 
-from .characters import Characters, CoeffField, _smallest_primitive_root
+from .characters import Characters, make_coeff_field
 from .chevalley import Chevalley
 from .extlab import ExtContext, SynthExtension, central_split, least_central_witness
-from .fieldtower import BudgetError, _is_prime, build_tower
+from .fieldtower import BudgetError, build_tower
 from .modules import InducedContext, ModuleContext, check_socle
 from .rootdata import build_A
 
@@ -171,24 +171,10 @@ class RunConfig:
 def build_chars(cfg: RunConfig) -> Characters:
     try:
         tower = build_tower(cfg.p, cfg.a, cfg.N)
+        coeff = make_coeff_field(tower.q, tower.N, p=tower.p, ell=cfg.ell)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    chev = Chevalley(tower, build_A(cfg.rank))
-    if not cfg.ell:
-        return Characters(chev)
-    modulus = tower.Q1
-    if not _is_prime(cfg.ell):
-        raise ConfigError("ell override must be prime")
-    if (cfg.ell - 1) % modulus:
-        raise ConfigError("ell override lacks the needed roots of unity")
-    omega = 1 if cfg.ell == 2 else _smallest_primitive_root(cfg.ell)
-    coeff = CoeffField(
-        ell=cfg.ell,
-        omega=omega,
-        modulus=modulus,
-        char_collision=cfg.ell == cfg.p,
-    )
-    return Characters(chev, coeff)
+    return Characters(Chevalley(tower, build_A(cfg.rank)), coeff)
 
 
 # -- shared helpers -----------------------------------------------------------

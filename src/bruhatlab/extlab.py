@@ -51,10 +51,7 @@ def _census_pair_worker(u) -> tuple:
 
 
 def _gamma_hit_worker(u) -> bool:
-    ctx = _WORK
-    cx = ctx.chev
-    uw0 = cx.mat_mul(u, ctx.w0dot)
-    return ctx._scan_hit(cx.mat_inv(uw0), ctx._noncentral_level_i(), uw0) >= 0
+    return _WORK.gamma_hit(u)
 
 
 def _pmap(fn, items, jobs: int) -> list:
@@ -77,96 +74,34 @@ def _pmap(fn, items, jobs: int) -> list:
         return pool.map(fn, items, chunksize=chunk)
 
 
-class AugmentedSolver:
-    """Echelon on the v-block of (v, w) pairs with the w-block carried along.
-
-    Feeding pairs (v_a, w_a) of a candidate linear relation v -> w: a later
-    pair whose v-part reduces to zero returns the reduced w-part, which is
-    the obstruction to consistency (zero iff the pair is implied).
-    """
-
-    def __init__(self, Dv: int, Dw: int, ell: int):
-        self.Dv, self.Dw, self.ell = Dv, Dw, ell
-        self.vrows = np.zeros((Dv, Dv), dtype=np.int64)
-        self.wrows = np.zeros((Dv, Dw), dtype=np.int64)
-        self.have = np.zeros(Dv, dtype=np.uint8)
-
-    @property
-    def dim(self) -> int:
-        return int(self.have.sum())
-
-    def _reduce(self, v, w):
-        for c in np.nonzero(self.have)[0]:
-            x = int(v[c])
-            if x:
-                v -= x * self.vrows[c]
-                w -= x * self.wrows[c]
-                v %= self.ell
-                w %= self.ell
-        return v, w
-
-    def insert(self, v, w):
-        v = np.array(v, dtype=np.int64) % self.ell
-        w = np.array(w, dtype=np.int64) % self.ell
-        v, w = self._reduce(v, w)
-        nz = np.nonzero(v)[0]
-        if len(nz) == 0:
-            return "dependent", w
-        c = int(nz[0])
-        inv = _modinv(int(v[c]), self.ell)
-        v = v * inv % self.ell
-        w = w * inv % self.ell
-        for r in np.nonzero(self.have)[0]:
-            x = int(self.vrows[r][c])
-            if x:
-                self.vrows[r] = (self.vrows[r] - x * v) % self.ell
-                self.wrows[r] = (self.wrows[r] - x * w) % self.ell
-        self.vrows[c] = v
-        self.wrows[c] = w
-        self.have[c] = 1
-        return "new", None
-
-    def apply(self, v):
-        """Image of v under the recorded map; None if v is outside the span."""
-        r = np.array(v, dtype=np.int64) % self.ell
-        acc = np.zeros(self.Dw, dtype=np.int64)
-        for c in np.nonzero(self.have)[0]:
-            x = int(r[c])
-            if x:
-                acc = (acc + x * self.wrows[c]) % self.ell
-                r = (r - x * self.vrows[c]) % self.ell
-        if r.any():
-            return None
-        return acc
-
-
 def nullspace_coeffs(rows, ell: int):
-    """Coefficient vectors c with sum_j c_j rows[j] = 0 (a basis of them)."""
+    """Coefficient vectors c with sum_j c_j rows[j] = 0 (a basis of them).
+
+    Each row enters tagged with its unit vector; a row whose leading part
+    reduces to zero leaves the relation in the carried tag block."""
     n = len(rows)
     if n == 0:
         return []
-    solver = AugmentedSolver(len(rows[0]), n, ell)
+    D = len(rows[0])
+    tagged = Subspace(D, ell, carry=n)
     out = []
     for j, row in enumerate(rows):
-        tag = np.zeros(n, dtype=np.int64)
-        tag[j] = 1
-        status, wres = solver.insert(row, tag)
-        if status == "dependent":
-            out.append(wres)
+        vec = np.zeros(D + n, dtype=np.int64)
+        vec[:D] = row
+        vec[D + j] = 1
+        res = tagged.residue(vec)
+        if res[:D].any():
+            tagged.insert(res)
+        else:
+            out.append(res[D:])
     return out
 
 
 def subspace_intersection(A: Subspace, B: Subspace) -> Subspace:
-    rowsA = A.basis()
+    rowsA = A.basis_matrix()
     out = Subspace(A.D, A.ell)
-    if not rowsA:
-        return out
-    residues = [B.residue(r) for r in rowsA]
-    for coeffs in nullspace_coeffs(residues, A.ell):
-        vec = np.zeros(A.D, dtype=np.int64)
-        for j, c in enumerate(coeffs):
-            vec = (vec + int(c) * rowsA[j]) % A.ell
-        out.insert(vec)
+    for coeffs in nullspace_coeffs(B.residue(rowsA), A.ell):
+        out.insert(coeffs @ rowsA)
     return out
 
 
@@ -326,13 +261,24 @@ class ExtContext:
             )
         )
 
+    def gamma_hit(self, u: Mat) -> bool:
+        """Some noncentral level-i g puts (u.wdot(w0))^-1 . g . u.wdot(w0) in B."""
+        cx = self.chev
+        uw0 = cx.mat_mul(u, self.w0dot)
+        return self._scan_hit(cx.mat_inv(uw0), self._noncentral_level_i(), uw0) >= 0
+
     def gamma_set(self, jobs: int = 1) -> list:
         if self._gamma is None:
             global _WORK
             omega = self.omega_set()
             self._noncentral_level_i()
-            if len(omega) * self._g_rest_count > SCAN_BUDGET:
-                raise BudgetError("gamma scan exceeds the membership budget")
+            requested = len(omega) * self._g_rest_count
+            if requested > SCAN_BUDGET:
+                raise BudgetError(
+                    "gamma scan exceeds the membership budget: "
+                    f"SCAN_BUDGET={SCAN_BUDGET}, requested {requested} "
+                    "conjugations"
+                )
             _WORK = self
             hits = _pmap(_gamma_hit_worker, omega, jobs)
             _WORK = None
@@ -357,8 +303,13 @@ class ExtContext:
         """No noncentral level-i g and w in W put g.u.wdot(w) in u.wdot(w0).B_{i+1}."""
         self.require_u(u)
         garr = self._noncentral_level_i()
-        if self._g_rest_count * len(self.rs.elements) > SCAN_BUDGET:
-            raise BudgetError("club scan exceeds the membership budget")
+        requested = self._g_rest_count * len(self.rs.elements)
+        if requested > SCAN_BUDGET:
+            raise BudgetError(
+                "club scan exceeds the membership budget: "
+                f"SCAN_BUDGET={SCAN_BUDGET}, requested {requested} "
+                "conjugations"
+            )
         cx = self.chev
         P = cx.mat_inv(cx.mat_mul(u, self.w0dot))
         for w in self.rs.elements:
@@ -533,39 +484,45 @@ class ExtContext:
         gens = level_generators(self.chev, self.i)
         lam_tables = {g: lam_ctx.action_table(g) for g in gens}
         mu_tables = {g: self.mu_ctx.action_table(g) for g in gens}
-        solver = AugmentedSolver(lam_ctx.D, self.mu_ctx.D, self.ell)
+        Dl = lam_ctx.D
+        # pairs (v, w) of the map, the lambda class v leading and w carried
+        solver = Subspace(Dl, self.ell, carry=self.mu_ctx.D)
         well_defined = True
-        queue = [(lam_E.project(lam_E.C), xi_vec)]
-        status, _ = solver.insert(*queue[0])
+        queue = [np.concatenate([lam_E.project(lam_E.C), xi_vec])]
+        solver.insert(queue[0])
         pairs = [queue[0]]
         while queue:
-            v, w = queue.pop()
+            pair = queue.pop()
             for g in gens:
-                v2 = lam_E.project(lam_ctx.apply_table(lam_tables[g], v))
+                v2 = lam_E.project(lam_ctx.apply_table(lam_tables[g], pair[:Dl]))
                 w2 = self.mu_E.project(
-                    self.mu_ctx.apply_table(mu_tables[g], w)
+                    self.mu_ctx.apply_table(mu_tables[g], pair[Dl:])
                 )
-                status, wres = solver.insert(v2, w2)
-                if status == "new":
-                    queue.append((v2, w2))
-                    pairs.append((v2, w2))
-                elif wres.any():
+                pair2 = np.concatenate([v2, w2])
+                res = solver.residue(pair2)
+                if res[:Dl].any():
+                    solver.insert(res)
+                    queue.append(pair2)
+                    pairs.append(pair2)
+                elif res[Dl:].any():
                     well_defined = False
         domain_dim = solver.dim
         equivariant = well_defined
         if well_defined:
             for g in gens:
-                for v, w in pairs:
-                    v2 = lam_E.project(lam_ctx.apply_table(lam_tables[g], v))
+                for pair in pairs:
+                    v2 = lam_E.project(
+                        lam_ctx.apply_table(lam_tables[g], pair[:Dl])
+                    )
                     img = solver.apply(v2)
                     w2 = self.mu_E.project(
-                        self.mu_ctx.apply_table(mu_tables[g], w)
+                        self.mu_ctx.apply_table(mu_tables[g], pair[Dl:])
                     )
                     if img is None or not np.array_equal(img, w2):
                         equivariant = False
         image = Subspace(self.mu_ctx.D, self.ell)
-        for c in np.nonzero(solver.have)[0]:
-            image.insert(solver.wrows[c])
+        for row in solver.basis():
+            image.insert(row[Dl:])
         level_i_dim = ModuleContext(self.chars, self.lam, self.i).e_module(
             self.J
         ).dim
@@ -835,11 +792,8 @@ def central_split(ext: SynthExtension) -> dict:
     eigen = Subspace(ext.n, ell)
     for v in eigen_rows:
         eigen.insert(v)
-    stable = all(
-        eigen.contains(Mb.dot(row) % ell)
-        for Mb in ext.gens
-        for row in eigen.basis()
-    )
+    basis = eigen.basis_matrix()
+    stable = all(eigen.contains(basis @ Mb.T) for Mb in ext.gens)
     total = eigen.union(ext.sub)
     meet = subspace_intersection(eigen, ext.sub)
     complementary = (

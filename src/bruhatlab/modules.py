@@ -33,11 +33,19 @@ _STABILITY_SEED = 20260818
 
 
 class Subspace:
-    """Row space over F_ell in reduced echelon form, fixed ambient dimension."""
+    """Row space over F_ell in reduced row echelon form, fixed ambient dimension.
 
-    def __init__(self, D: int, ell: int):
+    With `carry=n` every row has n trailing columns that ride along with the
+    row operations but never hold a pivot: inserting pairs (v, w) records the
+    linear map v -> w on the span of the v's, and a residue's trailing part
+    is then the obstruction w - f(v) of a pair whose v already lies in it.
+    """
+
+    def __init__(self, D: int, ell: int, carry: int = 0):
+        if ell * ell * (D + 1) >= 2**63:
+            raise OverflowError(f"residues overflow int64: ell={ell}, D={D}")
         self.D, self.ell = D, ell
-        self.rows = np.zeros((D, D), dtype=np.int64)
+        self.rows = np.zeros((D, D + carry), dtype=np.int64)
         self.have = np.zeros(D, dtype=np.uint8)
 
     @property
@@ -50,23 +58,39 @@ class Subspace:
         return int(kern.echelon_insert(self.rows, self.have, v, self.ell))
 
     def residue(self, vec) -> np.ndarray:
-        """Canonical representative of vec modulo this subspace."""
+        """Canonical representative of vec modulo this subspace: it depends
+        only on the coset of vec, and is linear in vec.  A (k, D) stack is
+        reduced row by row."""
         v = np.array(vec, dtype=np.int64)
         v %= self.ell
-        kern.echelon_reduce(self.rows, self.have, v, self.ell)
-        return v
+        return kern.echelon_reduce(self.rows, self.have, v, self.ell)
 
     def contains(self, vec) -> bool:
+        """vec, or every row of a stack, lies in this subspace."""
         return not self.residue(vec).any()
+
+    def apply(self, vec):
+        """Carried part of the span element whose leading part is vec; None
+        when vec is outside the span of the leading parts."""
+        full = np.zeros(self.rows.shape[1], dtype=np.int64)
+        full[:self.D] = vec
+        res = self.residue(full)
+        if res[:self.D].any():
+            return None
+        return -res[self.D:] % self.ell
 
     def pivots(self) -> list[int]:
         return [int(c) for c in np.nonzero(self.have)[0]]
 
+    def basis_matrix(self) -> np.ndarray:
+        """The basis rows, in pivot order, as one (dim, width) array."""
+        return self.rows[np.flatnonzero(self.have)]
+
     def basis(self) -> list[np.ndarray]:
-        return [self.rows[c].copy() for c in self.pivots()]
+        return list(self.basis_matrix())
 
     def copy(self) -> "Subspace":
-        out = Subspace(self.D, self.ell)
+        out = Subspace(self.D, self.ell, self.rows.shape[1] - self.D)
         out.rows[:] = self.rows
         out.have[:] = self.have
         return out
@@ -78,7 +102,7 @@ class Subspace:
         return out
 
     def leq(self, other: "Subspace") -> bool:
-        return all(other.contains(row) for row in self.basis())
+        return other.contains(self.basis_matrix())
 
 
 # -- sparse vector helpers ------------------------------------------------------
@@ -207,9 +231,10 @@ class ModuleContext:
         return self._tables[g]
 
     def apply_table(self, table, dense: np.ndarray) -> np.ndarray:
+        """g applied to a dense vector, or to each row of a (k, D) stack."""
         perm, scale = table
-        out = np.zeros(self.D, dtype=np.int64)
-        out[perm] = dense * scale % self.ell
+        out = np.zeros(dense.shape, dtype=np.int64)
+        out[..., perm] = dense * scale % self.ell
         return out
 
     # -- distinguished vectors ------------------------------------------------
@@ -379,8 +404,8 @@ class EModule:
         # echelon rows of the projected span; each row is a canonical
         # representative since residues are closed under linear combinations
         span = Subspace(self.ctx.D, self.ctx.ell)
-        for row in self.M.basis():
-            span.insert(self.project(row))
+        for row in self.project(self.M.basis_matrix()):
+            span.insert(row)
         return span.basis()
 
     def simplicity_probe(self, samples: int = 5) -> bool:
@@ -438,12 +463,11 @@ def spin_closure(mod, seeds, verify: bool = True) -> Subspace:
                 queue.append(S.rows[piv].copy())
     if verify:
         rng = random.Random(_STABILITY_SEED)
+        basis = S.basis_matrix()
         for _ in range(STABILITY_SAMPLES):
-            g = mod.random_group_elt(rng)
-            table = mod.action_table(g)
-            for row in S.basis():
-                if not S.contains(mod.apply_table(table, row)):
-                    raise AssertionError("spin closure is not group stable")
+            table = mod.action_table(mod.random_group_elt(rng))
+            if not S.contains(mod.apply_table(table, basis)):
+                raise AssertionError("spin closure is not group stable")
     return S
 
 

@@ -12,6 +12,7 @@ import os
 import numpy as np
 import pytest
 
+from bruhatlab import extlab
 from bruhatlab.cli import main
 
 
@@ -164,6 +165,16 @@ def test_budget_exit_code(tmp_path):
     assert code == 3
 
 
+def test_scan_budget_exit_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(extlab, "SCAN_BUDGET", 10)
+    for which in ("gamma", "club"):
+        code, _ = run(
+            tmp_path, "ext", which, "group=A1", "p=3", "lam=1", "mu=1", "i=1"
+        )
+        assert code == 3
+        assert "SCAN_BUDGET=10, requested" in capsys.readouterr().err
+
+
 def test_config_file_plus_overrides(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# base settings\ngroup=A1\np=3\ntheta=1\n\nk=1\n")
@@ -259,4 +270,7 @@ def test_ell_override(tmp_path):
     assert code == 0
     assert read_json(out, "dims")["config"]["ell"] == 97
     code, _ = run(tmp_path, "dims", "group=A1", "p=3", "ell=10")
+    assert code == 2
+    # 11 is prime, but 8 = 3^2 - 1 does not divide 10
+    code, _ = run(tmp_path, "dims", "group=A1", "p=3", "N=2", "ell=11")
     assert code == 2

@@ -14,10 +14,10 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from bruhatlab import extlab
 from bruhatlab.characters import Characters
 from bruhatlab.chevalley import Chevalley
 from bruhatlab.extlab import (
-    AugmentedSolver,
     ExtContext,
     SynthExtension,
     central_split,
@@ -48,21 +48,24 @@ def ext_for(p, a, N, rank, lam, mu, i):
 
 
 def test_augmented_solver_consistency():
+    # a Subspace carrying a trailing block records the map v -> w
     ell = 7
-    s = AugmentedSolver(3, 2, ell)
+    s = Subspace(3, ell, carry=2)
     v1, w1 = np.array([1, 2, 0]), np.array([1, 0])
     v2, w2 = np.array([0, 1, 1]), np.array([0, 1])
-    assert s.insert(v1, w1)[0] == "new"
-    assert s.insert(v2, w2)[0] == "new"
+    assert s.insert(np.concatenate([v1, w1])) >= 0
+    assert s.insert(np.concatenate([v2, w2])) >= 0
     # implied pair: v1 + 2*v2 -> w1 + 2*w2 reduces to zero obstruction
-    status, res = s.insert((v1 + 2 * v2) % ell, (w1 + 2 * w2) % ell)
-    assert status == "dependent" and not res.any()
+    pair = np.concatenate([v1 + 2 * v2, w1 + 2 * w2])
+    assert s.insert(pair) == -1 and not s.residue(pair).any()
     # contradictory pair: same v-part, different w-part
-    status, res = s.insert((v1 + 2 * v2) % ell, (w1 + 3 * w2) % ell)
-    assert status == "dependent" and res.any()
+    pair = np.concatenate([v1 + 2 * v2, w1 + 3 * w2])
+    res = s.residue(pair)
+    assert s.insert(pair) == -1 and not res[:3].any() and res[3:].any()
     img = s.apply((3 * v1 + v2) % ell)
     assert np.array_equal(img, (3 * w1 + w2) % ell)
     assert s.apply(np.array([0, 0, 1])) is None  # outside the span
+    assert s.dim == 2
 
 
 def test_nullspace_coeffs_kills_rows():
@@ -114,6 +117,26 @@ def test_unipotent_budget_guard():
     ch = chars_for(3, 1, 3, 2)
     with pytest.raises(BudgetError):
         ExtContext(ch, (1, 1), (1, 1), FS, FS, 2)  # 729^3 cells
+
+
+def test_scan_budgets_fail_before_any_scan(monkeypatch):
+    ctx = ExtContext(chars_for(3, 1, 2, 1), (1,), (1,), FS, FS, 1)
+    ctx.omega_set()
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned past the budget")
+
+    monkeypatch.setattr(extlab.kern, "scan_conj_upper", no_scan)
+    monkeypatch.setattr(extlab, "SCAN_BUDGET", 10)
+    # 6 u of omega times the 22 noncentral elements of SL_2(3); 22 times |W|
+    with pytest.raises(
+        BudgetError, match=r"gamma scan .* SCAN_BUDGET=10, requested 132 "
+    ):
+        ctx.gamma_set()
+    with pytest.raises(
+        BudgetError, match=r"club scan .* SCAN_BUDGET=10, requested 44 "
+    ):
+        ctx.claim_club(ctx.U_list[-1])
 
 
 # -- frozen censuses ----------------------------------------------------------
@@ -291,6 +314,22 @@ def test_xi_eigen_property_exhaustive():
         rep = ctx.xi(u, check_eigen=True)
         assert rep["eigen_ok"] and rep["xi_nonzero"]
         assert rep["xi_in_top_cell_span"]
+
+
+@pytest.mark.parametrize(
+    "p,rank,lam,mu",
+    [(3, 1, (1,), (1,)), (3, 1, (1,), (2,)), (3, 1, (3,), (5,)), (2, 2, (1, 1), (1, 1))],
+)
+def test_xi_nonzero_iff_outside_the_relations(p, rank, lam, mu):
+    # residues are canonical, so the class xi vanishes iff its vector does
+    ctx = ext_for(p, 1, 2, rank, lam, mu, 1)
+    seen = set()
+    for u in ctx.U_list:
+        rep = ctx.xi(u, check_eigen=False)
+        assert rep["xi_nonzero"] == (not ctx.mu_E.N.contains(rep["vector"]))
+        seen.add(rep["xi_nonzero"])
+    if lam == (1,) and mu == (2,):
+        assert seen == {False}  # the pair whose xi always vanishes
 
 
 def test_xi_deterministic_and_defined_at_identity():
