@@ -22,7 +22,13 @@ from .characters import Characters, make_coeff_field
 from .chevalley import Chevalley
 from .extlab import ExtContext, SynthExtension, central_split, least_central_witness
 from .fieldtower import BudgetError, build_tower
-from .modules import InducedContext, ModuleContext, check_socle
+from .modules import (
+    ModuleContext,
+    check_socle,
+    scalar_convention,
+    straightening_instances,
+    subsets,
+)
 from .rootdata import build_A
 
 GROUPS = {"A1": 1, "A2": 2, "A3": 3}
@@ -180,15 +186,6 @@ def build_chars(cfg: RunConfig) -> Characters:
 # -- shared helpers -----------------------------------------------------------
 
 
-def _subsets_of(indices) -> list:
-    base = sorted(indices)
-    return [
-        frozenset(combo)
-        for size in range(len(base) + 1)
-        for combo in itertools.combinations(base, size)
-    ]
-
-
 def level_char_grid(chars: Characters, k: int) -> list:
     """Exponent tuples giving the distinct level-k torus characters."""
     mk = chars.tower.level_size(k) - 1
@@ -230,16 +227,11 @@ def cmd_dims(cfg: RunConfig):
             raise ConfigError("J is not contained in I(theta)")
         Js = [cfg.J]
     else:
-        Js = _subsets_of(itheta)
-    qk = chars.tower.level_size(cfg.k)
+        Js = subsets(itheta)
     per_J = []
     for J in Js:
         em = ctx.e_module(J)
-        wJ = ctx.rs.longest(J)
-        Z = ctx.rs.z_set(J, itheta)
-        predicted = sum(
-            qk ** ctx.rs.mul(wJ, ctx.rs.inv(w)).length for w in Z
-        )
+        predicted = ctx.predicted_dim(J)
         per_J.append(
             {
                 "J": sorted(J),
@@ -279,7 +271,7 @@ def cmd_blocks(cfg: RunConfig):
         raise BudgetError("ambient character grid exceeds the block budget")
     params = []
     for theta in chars.all_characters():
-        for J in _subsets_of(chars.i_theta(theta)):
+        for J in subsets(chars.i_theta(theta)):
             params.append((theta, J))
     blocks = chars.blocks(params)
     per_block = [
@@ -313,51 +305,28 @@ def _verify_straightening(cfg: RunConfig, chars: Characters):
     fwd_all, bwd_all, case_i_total = True, True, 0
     for theta in level_char_grid(chars, cfg.k):
         ctx = ModuleContext(chars, theta, cfg.k)
-        itheta = ctx.i_theta()
-        for J in _subsets_of(itheta):
-            wJ = ctx.rs.longest(J)
-            instances, case_i, case_ii, ok = 0, 0, 0, True
-            for w in ctx.rs.min_coset_reps(J):
-                v = ctx.rs.mul(wJ, ctx.rs.inv(w))
-                neg = set(ctx.rs.phi_minus_pairs(v))
-                for i in ctx.rs.I:
-                    if (i - 1, i) not in neg:
-                        continue
-                    for x in ctx.tower.level_members(cfg.k)[1:]:
-                        rep = ctx.verify_straightening(J, i, w, x)
-                        instances += 1
-                        ok = ok and rep["ok"]
-                        if rep["case"] == "i":
-                            case_i += 1
-                            case_i_total += 1
-                            fwd_all = fwd_all and rep["matches_fwd"]
-                            bwd_all = bwd_all and rep["matches_bwd"]
-                        else:
-                            case_ii += 1
+        for J in subsets(ctx.i_theta()):
+            instances, case_i, ok = 0, 0, True
+            for _, i, w, x in straightening_instances(ctx, [J]):
+                rep = ctx.verify_straightening(J, i, w, x)
+                instances += 1
+                ok = ok and rep["ok"]
+                if rep["case"] == "i":
+                    case_i += 1
+                    fwd_all = fwd_all and rep["matches_fwd"]
+                    bwd_all = bwd_all and rep["matches_bwd"]
+            case_i_total += case_i
             points.append(
                 {
                     "theta": list(theta),
                     "J": sorted(J),
                     "instances": instances,
                     "case_i": case_i,
-                    "case_ii": case_ii,
+                    "case_ii": instances - case_i,
                     "ok": ok,
                 }
             )
-    if fwd_all and not bwd_all:
-        convention = "w t w^-1"
-    elif bwd_all and not fwd_all:
-        convention = "w^-1 t w"
-    elif fwd_all and bwd_all:
-        convention = "both"
-    else:
-        convention = "neither"
-    calibration = {
-        "case_i_instances": case_i_total,
-        "convention": convention,
-        "ambiguous": convention == "both",
-        "ok": convention != "neither",
-    }
+    calibration = scalar_convention(fwd_all, bwd_all, case_i_total)
     header = ["theta", "J", "instances", "case_i", "case_ii", "ok"]
     rows = [
         (pt["theta"], pt["J"], pt["instances"], pt["case_i"], pt["case_ii"], pt["ok"])
@@ -371,7 +340,7 @@ def _verify_basis(cfg: RunConfig, chars: Characters):
     for theta in level_char_grid(chars, cfg.k):
         ctx = ModuleContext(chars, theta, cfg.k)
         sum_E = 0
-        for J in _subsets_of(ctx.i_theta()):
+        for J in subsets(ctx.i_theta()):
             rep = ctx.check_translate_basis(J)
             sum_E += rep["dim_E"]
             points.append(rep)
@@ -440,7 +409,7 @@ def _verify_socle(cfg: RunConfig, chars: Characters):
     points = []
     for theta in level_char_grid(chars, cfg.k):
         itheta = chars.i_theta(theta)
-        for J in _subsets_of(itheta):
+        for J in subsets(itheta):
             points.append(check_socle(chars, theta, J, cfg.k))
     header = ["theta", "J", "nabla_dim", "spin_dim", "dim_E", "ok"]
     rows = [

@@ -28,7 +28,7 @@ from . import _backend as kern
 from .characters import Characters
 from .chevalley import Mat
 from .fieldtower import BudgetError
-from .modules import EModule, ModuleContext, Subspace, level_generators
+from .modules import ModuleContext, Subspace, level_generators, spin_closure
 
 UNIPOTENT_BUDGET = 10**6
 SCAN_BUDGET = 10**8
@@ -455,25 +455,6 @@ class ExtContext:
 
     # -- the linear map and the twisted embedding ---------------------------
 
-    def _level_subspace(self, ctx: ModuleContext, em: EModule) -> tuple:
-        """Span of the level-i translates of the quotient generator inside the
-        level-(i+1) quotient, with its generator tables."""
-        gens = level_generators(self.chev, self.i)
-        tables = [ctx.action_table(g) for g in gens]
-        sub = Subspace(ctx.D, self.ell)
-        queue = []
-        piv = sub.insert(em.C)
-        if piv >= 0:
-            queue.append(sub.rows[piv].copy())
-        while queue:
-            vec = queue.pop()
-            for table in tables:
-                out = em.project(ctx.apply_table(table, vec))
-                piv = sub.insert(out)
-                if piv >= 0:
-                    queue.append(sub.rows[piv].copy())
-        return sub, gens
-
     def phi_map(self, u: Mat) -> dict:
         """Linear map from the level-i (lambda, J) quotient into the
         level-(i+1) (mu, K) quotient, sending the generator to xi."""
@@ -549,8 +530,16 @@ class ExtContext:
         solver = phi["solver"]
         Dl, Dm = lam_ctx.D, self.mu_ctx.D
         ell = self.ell
-        lam_sub, _ = self._level_subspace(lam_ctx, lam_E)
-        mu_sub, _ = self._level_subspace(self.mu_ctx, self.mu_E)
+        # spans of the level-i translates of each quotient generator; level-i
+        # generators do not give a level-(i+1) stable span, so no stability check
+        gens = level_generators(self.chev, self.i)
+        lam_sub = spin_closure(
+            lam_ctx, [lam_E.C], gens=gens, project=lam_E.project, verify=False
+        )
+        mu_sub = spin_closure(
+            self.mu_ctx, [self.mu_E.C], gens=gens, project=self.mu_E.project,
+            verify=False,
+        )
 
         def embed(vl, vm):
             out = np.zeros(Dl + Dm, dtype=np.int64)

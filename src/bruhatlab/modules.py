@@ -11,7 +11,8 @@ cheap dense row-reduction over F_ell.  Spun submodules, their sums, and the
 resulting quotients (with canonical coset representatives given by echelon
 reduction) realize the generated-submodule and simple-quotient constructions;
 an induced-from-parabolic realization with coset bases is provided alongside,
-with a generator whose spin is compared against the quotient dimension.
+with a generator whose spin is compared against the quotient dimension.  Both
+realizations share one base, `KeyedModule`, and differ only in act_key.
 """
 
 from __future__ import annotations
@@ -129,20 +130,23 @@ def vsub(a: dict, b: dict, ell: int) -> dict:
     return vadd(a, vscale(ell - 1, b, ell), ell)
 
 
-def _subsets_between(J: frozenset, itheta: frozenset):
-    """All K with J < K <= itheta, canonically ordered (size, then sorted tuple)."""
-    rest = sorted(itheta - J)
-    out = []
-    for m in range(1, len(rest) + 1):
-        for extra in itertools.combinations(rest, m):
-            out.append(J | frozenset(extra))
-    return out
+def subsets(indices) -> list[frozenset]:
+    """All subsets of indices, canonically ordered (size, then sorted tuple)."""
+    base = sorted(indices)
+    return [
+        frozenset(combo)
+        for size in range(len(base) + 1)
+        for combo in itertools.combinations(base, size)
+    ]
 
 
-class ModuleContext:
-    """The level-k principal series module for one character theta."""
+class KeyedModule:
+    """A level-k module on a monomial basis of keys (w, u), one for each Weyl
+    representative w in `reps` and each u in the level-k points of the
+    unipotent group attached to Phi_{w^-1}^-, the key standing for
+    u * wdot(w).  Subclasses supply act_key(g, key) -> (key', scale)."""
 
-    def __init__(self, chars: Characters, theta, k: int):
+    def __init__(self, chars: Characters, theta, k: int, reps):
         self.chars = chars
         self.chev = chars.chev
         self.rs = chars.rs
@@ -151,12 +155,15 @@ class ModuleContext:
         self.k = k
         self.ell = chars.coeff.ell
         qk = self.tower.level_size(k)
-        total = sum(qk**w.length for w in self.rs.elements)
+        total = sum(qk**w.length for w in reps)
         if total > KEY_BUDGET:
-            raise BudgetError(f"module dimension {total} exceeds 10^5 key budget")
+            raise BudgetError(
+                "module basis exceeds the key budget: "
+                f"KEY_BUDGET={KEY_BUDGET}, requested {total} keys"
+            )
         self.keys = [
             (w, u)
-            for w in self.rs.elements
+            for w in reps
             for u in self.chev.enum_U_w(self.rs.inv(w), k)
         ]
         self.D = len(self.keys)
@@ -185,23 +192,7 @@ class ModuleContext:
             for i in np.nonzero(arr)[0]
         }
 
-    def key_json(self, key) -> list:
-        w, u = key
-        pairs = self.rs.phi_minus_pairs(self.rs.inv(w))
-        entries = [
-            self.tower.scalar_index(u[a * self.chev.m + b]) for a, b in pairs
-        ]
-        return [list(w.word), entries]
-
-    def vec_json(self, vec: dict) -> list:
-        items = sorted(vec.items(), key=lambda kv: self.key_index[kv[0]])
-        return [[self.key_json(key), int(c)] for key, c in items]
-
     # -- the module action -----------------------------------------------------
-
-    def act_key(self, g: Mat, key):
-        w, u, t = self.chev.bruhat_cell(self.chev.mat_mul(g, self.key_mat(key)))
-        return (w, u), self.chars.eval_diag(self.theta, t)
 
     def act(self, g: Mat, vec: dict) -> dict:
         if not self.chev.in_level(g, self.k):
@@ -243,6 +234,7 @@ class ModuleContext:
         return self.chars.i_theta(self.theta)
 
     def eta(self, J) -> dict:
+        """Alternating sum of the wdot(w)-translates of the one key, w in W_J."""
         J = frozenset(J)
         if not J <= self.i_theta():
             raise ValueError("J must be contained in I(theta)")
@@ -281,6 +273,31 @@ class ModuleContext:
     def spin(self, seeds, verify: bool = True) -> Subspace:
         return spin_closure(self, seeds, verify=verify)
 
+
+class ModuleContext(KeyedModule):
+    """The level-k principal series module for one character theta."""
+
+    def __init__(self, chars: Characters, theta, k: int):
+        super().__init__(chars, theta, k, chars.rs.elements)
+
+    def act_key(self, g: Mat, key):
+        w, u, t = self.chev.bruhat_cell(self.chev.mat_mul(g, self.key_mat(key)))
+        return (w, u), self.chars.eval_diag(self.theta, t)
+
+    # -- serialization -------------------------------------------------------
+
+    def key_json(self, key) -> list:
+        w, u = key
+        pairs = self.rs.phi_minus_pairs(self.rs.inv(w))
+        entries = [
+            self.tower.scalar_index(u[a * self.chev.m + b]) for a, b in pairs
+        ]
+        return [list(w.word), entries]
+
+    def vec_json(self, vec: dict) -> list:
+        items = sorted(vec.items(), key=lambda kv: self.key_index[kv[0]])
+        return [[self.key_json(key), int(c)] for key, c in items]
+
     # -- simple quotients -----------------------------------------------------
 
     def e_module(self, J) -> "EModule":
@@ -291,21 +308,30 @@ class ModuleContext:
         eta_J = self.eta(J)
         M = self.spin([eta_J])
         N = Subspace(self.D, self.ell)
-        for K in _subsets_between(J, itheta):
-            N = N.union(self.spin([self.eta(K)]))
+        for S in subsets(itheta - J)[1:]:  # every K with J < K <= I(theta)
+            N = N.union(self.spin([self.eta(J | S)]))
         if not N.leq(M):
             raise AssertionError("N(theta)_J escaped M(theta)_J")
         C = N.residue(self.to_dense(eta_J))
         return EModule(ctx=self, J=J, M=M, N=N, C=C)
 
+    def predicted_dim(self, J) -> int:
+        """Dimension of the simple quotient for J from the translate count:
+        the sum of q_k^{l(w_J w^-1)} over w in Z(J)."""
+        J = frozenset(J)
+        wJ = self.rs.longest(J)
+        qk = self.tower.level_size(self.k)
+        return sum(
+            qk ** self.rs.mul(wJ, self.rs.inv(w)).length
+            for w in self.rs.z_set(J, self.i_theta())
+        )
+
     def check_translate_basis(self, J) -> dict:
         J = frozenset(J)
         em = self.e_module(J)
-        itheta = self.i_theta()
-        Z = self.rs.z_set(J, itheta)
+        Z = self.rs.z_set(J, self.i_theta())
         wJ = self.rs.longest(J)
         eta_J = self.eta(J)
-        qk = self.tower.level_size(self.k)
         span = Subspace(self.D, self.ell)
         num, independent = 0, True
         for w in Z:
@@ -316,9 +342,7 @@ class ModuleContext:
                 if span.insert(img) < 0:
                     independent = False
                 num += 1
-        predicted = sum(
-            qk ** self.rs.mul(wJ, self.rs.inv(w)).length for w in Z
-        )
+        predicted = self.predicted_dim(J)
         report = {
             "theta": list(self.theta),
             "J": sorted(J),
@@ -440,25 +464,38 @@ def level_generators(chev, k: int) -> list[Mat]:
     return gens
 
 
-def spin_closure(mod, seeds, verify: bool = True) -> Subspace:
-    """Smallest subspace containing seeds and stable under the level generators.
+def spin_closure(
+    mod, seeds, verify: bool = True, gens=None, project=None
+) -> Subspace:
+    """Smallest subspace containing seeds and stable under the generators.
 
     `mod` provides D, ell, generators(), action_table(), apply_table(),
     to_dense(), random_group_elt(); seeds are sparse dicts or dense arrays.
+    `gens` replaces mod.generators(), and `project`, a residue map of a
+    quotient, is applied to every image, so that the span is the spin of the
+    seeds inside that quotient.  `verify` samples random level-k elements of
+    `mod`, so it must be off when `gens` generate a smaller group.
     """
     S = Subspace(mod.D, mod.ell)
+
+    def image(table, vec):
+        out = mod.apply_table(table, vec)
+        return out if project is None else project(out)
+
     queue = []
     for seed in seeds:
         dense = mod.to_dense(seed) if isinstance(seed, dict) else np.array(seed)
         piv = S.insert(dense)
         if piv >= 0:
             queue.append(S.rows[piv].copy())
-    tables = [mod.action_table(g) for g in mod.generators()]
+    tables = [
+        mod.action_table(g)
+        for g in (mod.generators() if gens is None else gens)
+    ]
     while queue:
         vec = queue.pop()
         for table in tables:
-            out = mod.apply_table(table, vec)
-            piv = S.insert(out)
+            piv = S.insert(image(table, vec))
             if piv >= 0:
                 queue.append(S.rows[piv].copy())
     if verify:
@@ -466,54 +503,24 @@ def spin_closure(mod, seeds, verify: bool = True) -> Subspace:
         basis = S.basis_matrix()
         for _ in range(STABILITY_SAMPLES):
             table = mod.action_table(mod.random_group_elt(rng))
-            if not S.contains(mod.apply_table(table, basis)):
+            if not S.contains(image(table, basis)):
                 raise AssertionError("spin closure is not group stable")
     return S
 
 
-class InducedContext:
+class InducedContext(KeyedModule):
     """Induction from the parabolic fixed by J' = I(theta) - J: basis indexed
     by canonical coset representatives u * wdot(x), x minimal in x W_{J'}."""
 
     def __init__(self, chars: Characters, theta, J, k: int):
-        self.chars = chars
-        self.chev = chars.chev
-        self.rs = chars.rs
-        self.tower = chars.tower
-        self.theta = chars.normalize(theta)
-        self.k = k
-        self.ell = chars.coeff.ell
         J = frozenset(J)
-        itheta = chars.i_theta(self.theta)
+        itheta = chars.i_theta(chars.normalize(theta))
         if not J <= itheta:
             raise ValueError("J must be contained in I(theta)")
         self.J = J
         self.Jp = itheta - J
-        qk = self.tower.level_size(k)
-        self.reps_w = self.rs.min_coset_reps(self.Jp)
-        total = sum(qk**w.length for w in self.reps_w)
-        if total > KEY_BUDGET:
-            raise BudgetError("induced basis exceeds the 10^5 key budget")
-        self.keys = [
-            (x, u)
-            for x in self.reps_w
-            for u in self.chev.enum_U_w(self.rs.inv(x), k)
-        ]
-        self.D = len(self.keys)
-        self.key_index = {key: i for i, key in enumerate(self.keys)}
-        self.one_key = (self.rs.e, self.chev.identity)
-        self._key_mats: dict = {}
-        self._tables: dict = {}
+        super().__init__(chars, theta, k, chars.rs.min_coset_reps(self.Jp))
         self._min_rep_cache: dict = {}
-
-    generators = ModuleContext.generators
-    random_group_elt = ModuleContext.random_group_elt
-    apply_table = ModuleContext.apply_table
-    to_dense = ModuleContext.to_dense
-    from_dense = ModuleContext.from_dense
-    key_mat = ModuleContext.key_mat
-    act = ModuleContext.act
-    action_table = ModuleContext.action_table
 
     def _min_rep(self, w: WeylElt) -> WeylElt:
         if w.perm not in self._min_rep_cache:
@@ -540,20 +547,6 @@ class InducedContext:
         coeff = self.chars.eval_parabolic(self.theta, self.Jp, p)
         return key2, coeff
 
-    def d_generator(self) -> dict:
-        out: dict = {}
-        one = {self.one_key: 1}
-        for w in self.rs.subgroup(self.J):
-            sign = self.ell - 1 if w.length % 2 else 1
-            term = vscale(
-                sign, self.act(self.chev.wdot_in(self.J, w), one), self.ell
-            )
-            out = vadd(out, term, self.ell)
-        return out
-
-    def spin(self, seeds, verify: bool = True) -> Subspace:
-        return spin_closure(self, seeds, verify=verify)
-
 
 def check_socle(chars: Characters, theta, J, k: int) -> dict:
     """Spin the alternating generator inside the induced module and compare
@@ -561,7 +554,7 @@ def check_socle(chars: Characters, theta, J, k: int) -> dict:
     ctx = ModuleContext(chars, theta, k)
     em = ctx.e_module(J)
     nb = InducedContext(chars, theta, J, k)
-    sub = nb.spin([nb.d_generator()])
+    sub = nb.spin([nb.eta(nb.J)])
     report = {
         "theta": list(ctx.theta),
         "J": sorted(frozenset(J)),
@@ -574,38 +567,29 @@ def check_socle(chars: Characters, theta, J, k: int) -> dict:
     return report
 
 
-def calibrate_scalar_convention(contexts, Js=None) -> dict:
-    """Decide the torus-twist convention in the shorter-case formula by
-    scanning every applicable (J, i, w, x) across the given module contexts."""
-    fwd_ok, bwd_ok, case_i = True, True, 0
-    for ctx in contexts:
-        itheta = ctx.i_theta()
-        Jlist = (
-            Js
-            if Js is not None
-            else [
-                frozenset(c)
-                for m in range(len(itheta) + 1)
-                for c in itertools.combinations(sorted(itheta), m)
-            ]
-        )
-        for J in Jlist:
-            if not frozenset(J) <= itheta:
-                continue
-            wJ = ctx.rs.longest(J)
-            for w in ctx.rs.min_coset_reps(J):
-                v = ctx.rs.mul(wJ, ctx.rs.inv(w))
-                neg = set(ctx.rs.phi_minus_pairs(v))
-                for i in ctx.rs.I:
-                    if (i - 1, i) not in neg:
-                        continue
-                    if ctx.rs.mul(ctx.rs.s(i), w).length > w.length:
-                        continue
+def straightening_instances(ctx: ModuleContext, Js=None):
+    """Every applicable (J, i, w, x) of one module context: J runs over Js
+    (all subsets of I(theta) by default, those outside it are skipped), w
+    over the minimal coset representatives of W_J with alpha_i in
+    Phi_{w_J w^-1}^-, and x over the nonzero level-k scalars."""
+    itheta = ctx.i_theta()
+    rs = ctx.rs
+    for J in subsets(itheta) if Js is None else Js:
+        J = frozenset(J)
+        if not J <= itheta:
+            continue
+        wJ = rs.longest(J)
+        for w in rs.min_coset_reps(J):
+            neg = set(rs.phi_minus_pairs(rs.mul(wJ, rs.inv(w))))
+            for i in rs.I:
+                if (i - 1, i) in neg:
                     for x in ctx.tower.level_members(ctx.k)[1:]:
-                        rep = ctx.verify_straightening(J, i, w, x)
-                        case_i += 1
-                        fwd_ok = fwd_ok and rep["matches_fwd"]
-                        bwd_ok = bwd_ok and rep["matches_bwd"]
+                        yield J, i, w, x
+
+
+def scalar_convention(fwd_ok: bool, bwd_ok: bool, case_i: int) -> dict:
+    """Calibration verdict from the shorter-case instances: which torus-twist
+    convention held on every one of them."""
     if fwd_ok and not bwd_ok:
         convention = "w t w^-1"
     elif bwd_ok and not fwd_ok:
@@ -620,3 +604,19 @@ def calibrate_scalar_convention(contexts, Js=None) -> dict:
         "ambiguous": convention == "both",
         "ok": convention != "neither",
     }
+
+
+def calibrate_scalar_convention(contexts, Js=None) -> dict:
+    """Decide the torus-twist convention in the shorter-case formula by
+    scanning every applicable (J, i, w, x) across the given module contexts."""
+    fwd_ok, bwd_ok, case_i = True, True, 0
+    for ctx in contexts:
+        for J, i, w, x in straightening_instances(ctx, Js):
+            # s_i w and w differ in length by one: the shorter case is case (i)
+            if ctx.rs.mul(ctx.rs.s(i), w).length > w.length:
+                continue
+            rep = ctx.verify_straightening(J, i, w, x)
+            case_i += 1
+            fwd_ok = fwd_ok and rep["matches_fwd"]
+            bwd_ok = bwd_ok and rep["matches_bwd"]
+    return scalar_convention(fwd_ok, bwd_ok, case_i)

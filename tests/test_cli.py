@@ -12,8 +12,8 @@ import os
 import numpy as np
 import pytest
 
-from bruhatlab import extlab
-from bruhatlab.cli import main
+from bruhatlab import extlab, modules
+from bruhatlab.cli import RunConfig, build_chars, level_char_grid, main
 
 
 def run(tmp_path, *args):
@@ -88,6 +88,28 @@ def test_verify_passes_on_rank1_grid(tmp_path, which):
     rep = read_json(out, f"verify_{which}")
     assert rep["ok"] and rep["first_failure"] is None
     assert rep["num_points"] >= 1
+
+
+@pytest.mark.parametrize(
+    "group, p, k, case_i",
+    [("A2", 2, 2, 198), ("A1", 3, 2, 64), ("A1", 3, 1, 4)],
+)
+def test_straightening_calibration_matches_library(tmp_path, group, p, k, case_i):
+    # the CLI counts the instances its reports put in case (i); the library
+    # keeps the (i, w) with s_i w shorter than w; both must give one verdict
+    code, out = run(
+        tmp_path, "verify", "straightening", f"group={group}", f"p={p}", f"k={k}"
+    )
+    rep = read_json(out, "verify_straightening")
+    chars = build_chars(RunConfig({"group": group, "p": p, "k": k}))
+    contexts = [
+        modules.ModuleContext(chars, theta, k)
+        for theta in level_char_grid(chars, k)
+    ]
+    assert rep["calibration"] == modules.calibrate_scalar_convention(contexts)
+    assert rep["calibration"]["case_i_instances"] == case_i
+    assert sum(pt["case_i"] for pt in rep["points"]) == case_i
+    assert code == 0
 
 
 def test_verify_straightening_calibrates_uniquely(tmp_path):
@@ -173,6 +195,13 @@ def test_scan_budget_exit_code(tmp_path, monkeypatch, capsys):
         )
         assert code == 3
         assert "SCAN_BUDGET=10, requested" in capsys.readouterr().err
+
+
+def test_key_budget_exit_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(modules, "KEY_BUDGET", 3)
+    code, _ = run(tmp_path, "verify", "socle", "group=A1", "p=3", "k=1")
+    assert code == 3
+    assert "KEY_BUDGET=3, requested 4 keys" in capsys.readouterr().err
 
 
 def test_config_file_plus_overrides(tmp_path):

@@ -27,7 +27,12 @@ from bruhatlab.extlab import (
     subspace_intersection,
 )
 from bruhatlab.fieldtower import BudgetError, build_tower
-from bruhatlab.modules import ModuleContext, Subspace, level_generators
+from bruhatlab.modules import (
+    ModuleContext,
+    Subspace,
+    level_generators,
+    spin_closure,
+)
 from bruhatlab.rootdata import build_A
 
 FS = frozenset()
@@ -425,6 +430,32 @@ def test_choose_u_precedence():
     assert (u, basis) == ctx.choose_u()
 
 
+@pytest.mark.parametrize(
+    "p, rank, lam, dim",
+    [
+        (3, 1, (1,), 4),
+        (2, 2, (1, 1), 21),
+        # N != 0 here, so the projection matters: unprojected spans of 6, 14
+        (3, 1, (0,), 1),
+        (2, 2, (1, 0), 7),
+    ],
+)
+def test_projected_spin_spans_level_i_classes(p, rank, lam, dim):
+    # the level-i spin of the generator inside the level-(i+1) quotient is
+    # the span of its translates g . C, g running over all of G_i
+    ctx = ext_for(p, 1, 2, rank, lam, lam, 1)
+    em = ctx.mu_E
+    spun = spin_closure(
+        ctx.mu_ctx, [em.C], gens=level_generators(ctx.chev, 1),
+        project=em.project, verify=False,
+    )
+    classes = Subspace(ctx.mu_ctx.D, ctx.ell)
+    for g in ctx.chev.enum_G(1):
+        classes.insert(ctx.class_of(g))
+    assert spun.dim == classes.dim == dim
+    assert spun.leq(classes) and classes.leq(spun)
+
+
 # -- two-step gluing (needs a three-level tower) -------------------------------
 
 
@@ -439,8 +470,14 @@ def test_two_step_gluing_composes():
     lam1, lE1 = phi1["lam_ctx"], phi1["lam_E"]
     lam2, lE2 = phi2["lam_ctx"], phi2["lam_E"]
     s1, s2 = phi1["solver"], phi2["solver"]
-    sub_l1, _ = ctx1._level_subspace(lam1, lE1)
-    sub_m1, _ = ctx1._level_subspace(ctx1.mu_ctx, ctx1.mu_E)
+    gens = level_generators(ch.chev, 1)
+    sub_l1 = spin_closure(
+        lam1, [lE1.C], gens=gens, project=lE1.project, verify=False
+    )
+    sub_m1 = spin_closure(
+        ctx1.mu_ctx, [ctx1.mu_E.C], gens=gens, project=ctx1.mu_E.project,
+        verify=False,
+    )
 
     def tau(small, big, em_big, dense):
         # reinterpret the residue over the larger level, then reduce again;
@@ -470,7 +507,6 @@ def test_two_step_gluing_composes():
     assert len(basis) == 8
     images = [composite(*b) for b in basis]
 
-    gens = level_generators(ch.chev, 1)
     tl1 = {g: lam1.action_table(g) for g in gens}
     tm1 = {g: ctx1.mu_ctx.action_table(g) for g in gens}
     tl2 = {g: lam2.action_table(g) for g in gens}

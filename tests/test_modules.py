@@ -45,6 +45,16 @@ def test_key_budget_enforced():
         mod.ModuleContext(ch, (0, 0, 0), 2)
 
 
+def test_key_budget_names_limit_and_size(monkeypatch):
+    ch = chars_for(2, 1, 2, 2)
+    monkeypatch.setattr(mod, "KEY_BUDGET", 6)
+    with pytest.raises(BudgetError, match=r"KEY_BUDGET=6, requested 21 keys"):
+        mod.ModuleContext(ch, (0, 0), 1)
+    # the induced basis over the parabolic of {2} has 7 keys
+    with pytest.raises(BudgetError, match=r"KEY_BUDGET=6, requested 7 keys"):
+        mod.InducedContext(ch, (0, 0), {1}, 1)
+
+
 def test_key_order_and_level_embedding():
     small = ctx_for(3, 1, 2, 1, (0,), 1)
     big = ctx_for(3, 1, 2, 1, (0,), 2)
@@ -372,6 +382,39 @@ def test_induced_full_flag_matches_module_basis():
     assert set(nb.keys) == set(ctx.keys)
 
 
+@pytest.mark.parametrize(
+    "p, r, theta, k, trivial",
+    [
+        (3, 1, (0,), 1, True),
+        (3, 1, (4,), 1, True),  # I(theta) is empty, theta is 1 on F_3^*
+        (2, 2, (0, 0), 1, True),
+        (3, 1, (1,), 1, False),
+        (3, 1, (1,), 2, False),
+        (2, 2, (1, 0), 2, False),  # J = I(theta) = {2}
+    ],
+)
+def test_induced_full_flag_action_matches_module(p, r, theta, k, trivial):
+    # with J = I(theta) the parabolic is the Borel, so the induced module is
+    # the principal series itself, on the same keys in the same order
+    ctx = ctx_for(p, 1, 2, r, theta, k)
+    J = ctx.i_theta()
+    nb = mod.InducedContext(ctx.chars, theta, J, k)
+    assert nb.Jp == frozenset()
+    assert nb.keys == ctx.keys
+    rng = random.Random(29)
+    elts = ctx.generators() + [ctx.random_group_elt(rng) for _ in range(10)]
+    scales = set()
+    for g in elts:
+        perm, scale = nb.action_table(g)
+        perm_m, scale_m = ctx.action_table(g)
+        assert np.array_equal(perm, perm_m)
+        assert np.array_equal(scale, scale_m)
+        scales.update(scale.tolist())
+    # a character trivial on the level-k torus only tests the permutations
+    assert (scales == {1}) == trivial
+    assert nb.eta(J) == ctx.eta(J)
+
+
 def test_socle_comparison_grid():
     cases = [
         (chars_for(3, 1, 2, 1), (0,), 1, [frozenset(), frozenset({1})]),
@@ -391,7 +434,7 @@ def test_socle_comparison_grid():
 def test_socle_generator_sign_pattern():
     ch = chars_for(2, 1, 2, 2)
     nb = mod.InducedContext(ch, (0, 0), {1}, 1)
-    d = nb.d_generator()
+    d = nb.eta(nb.J)
     assert len(d) == 2
     signs = sorted(d.values())
     assert signs == [1, nb.ell - 1]
