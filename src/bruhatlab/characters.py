@@ -13,6 +13,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .chevalley import Chevalley, Mat
 from .fieldtower import _is_prime, _prime_factors
 
@@ -81,6 +83,7 @@ class Characters:
         self._iota = [
             pow(cf.omega, self._step * c, cf.ell) for c in range(cf.modulus)
         ]
+        self._iota_arr: np.ndarray | None = None
 
     # -- scalar embedding -------------------------------------------------
 
@@ -108,6 +111,17 @@ class Characters:
             if e:
                 out = out * pow(self._iota[d], e, cf.ell) % cf.ell
         return out
+
+    def eval_diags(self, theta, T) -> np.ndarray:
+        """eval_diag on every row of an (n, r+1) array of nonzero codes.
+
+        iota is a homomorphism from the codes mod q^{N!}-1, so the value is
+        iota of sum_i e_i * code(t_1*..*t_i), one table lookup per row."""
+        if self._iota_arr is None:
+            self._iota_arr = np.array(self._iota, dtype=np.int64)
+        theta = np.array(self.normalize(theta), dtype=np.int64)
+        prefix = np.cumsum(T[:, :self.rs.rank], axis=1) % self.tower.Q1
+        return self._iota_arr[(prefix @ theta) % self.coeff.modulus]
 
     def eval(self, theta, t: Mat) -> int:
         return self.eval_diag(theta, self.chev.diag_of(t))

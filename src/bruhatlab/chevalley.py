@@ -10,6 +10,8 @@ Two decompositions run the same pivot elimination and share one
 unipotent-peeling routine: `bruhat_cell` returns (w, u, t) only and is the
 fast path of every module action; `bruhat_form` also builds the right factor
 v, for the callers that need it and as the test oracle of `bruhat_cell`.
+`bruhat_cells` is the batched twin of `bruhat_cell` over a code array, for
+the stacked module action.
 """
 
 from __future__ import annotations
@@ -19,6 +21,9 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 
+import numpy as np
+
+from . import _backend as kern
 from .fieldtower import BudgetError, FieldTower
 from .rootdata import RootSystem, WeylElt
 
@@ -52,6 +57,7 @@ class Chevalley:
         self._wdot_cache: dict[tuple, Mat] = {}
         self._wdot_inv_cache: dict[tuple, tuple] = {}
         self._peel_cache: dict[tuple, tuple] = {}
+        self._cells_cache: tuple | None = None
         self._enum_cache: dict[tuple, list] = {}
 
     # -- raw matrix arithmetic ----------------------------------------------
@@ -347,6 +353,84 @@ class Chevalley:
         ), "right factor not unipotent"
         return w, u, tuple(t)
 
+    def _cells_tables(self) -> tuple:
+        """Per Weyl element, in rs.elements order: the (column, value) rows
+        of wdot(w)^-1 as two (|W|, m) arrays, and which positive pairs lie
+        in Phi_{w^-1}^-; plus the rs.elements index of each pivot pattern,
+        read as a base-m number with column 0 least significant."""
+        if self._cells_cache is None:
+            m, rs = self.m, self.rs
+            ws = rs.elements
+            rows = [self._wdot_inv_rows(w) for w in ws]
+            cols = np.array([[c for c, _ in r] for r in rows], dtype=np.int64)
+            vals = np.array([[v for _, v in r] for r in rows], dtype=np.int64)
+            negs = [set(rs.phi_minus_pairs(rs.inv(w))) for w in ws]
+            phi = np.array([[ab in neg for ab in rs.pos_pairs] for neg in negs])
+            by_code = np.full(m**m, -1, dtype=np.int64)
+            for e, w in enumerate(ws):
+                by_code[sum(c * m**j for j, c in enumerate(w.perm))] = e
+            self._cells_cache = (cols, vals, phi, by_code)
+        return self._cells_cache
+
+    def bruhat_cells(self, G) -> tuple:
+        """Batched twin of bruhat_cell over an (n, m*m) code array G.
+
+        Returns (widx, u, t): w = rs.elements[widx[r]], u an (n, m*m) and t
+        an (n, m) code array, row r equal to bruhat_cell(G[r]).  The pivot
+        elimination of bruhat_cell runs on every row at once, looping over m
+        only; the last column needs no row operations, since every other
+        row is then a used pivot row, zero right of its pivot.  Both checks
+        of bruhat_cell stay: the pivot pattern against _wdot_inv_rows, and
+        v unipotent, here in the form that the row operations left u inside
+        U_{w^-1}, so that peeling would split off the identity.
+        """
+        tw, m = self.tower, self.m
+        Q1, zech = tw.Q1, tw.zech
+        minus_one = tw.neg(tw.ONE)
+
+        def mul(a, b):
+            return kern._code_mul(a, b, Q1)
+
+        def add(a, b):
+            return kern._code_add(a, b, zech, Q1)
+
+        cols, vals, phi, by_code = self._cells_tables()
+        M = np.array(G, dtype=np.int64).reshape(-1, m, m)
+        n = M.shape[0]
+        rows = np.arange(n)
+        eye = np.array(self.identity, dtype=np.int64).reshape(m, m)
+        U = np.broadcast_to(eye, (n, m, m)).copy()
+        used = np.zeros((n, m), dtype=bool)
+        perm = np.empty((n, m), dtype=np.int64)
+        for j in range(m):
+            cand = ~used & (M[:, :, j] != Q1)
+            if not cand.any(axis=1).all():
+                raise ValueError("singular matrix has no Bruhat cell")
+            piv = m - 1 - cand[:, ::-1].argmax(axis=1)  # last candidate row
+            used[rows, piv] = True
+            perm[:, j] = piv
+            if j == m - 1:
+                break
+            prow = M[rows, piv, j:]
+            neg_prow = mul(prow, minus_one)
+            inv = (-prow[:, 0]) % Q1
+            for r in range(m - 1):
+                c = np.where(r < piv, mul(M[:, r, j], inv), Q1)
+                M[:, r, j:] = add(M[:, r, j:], mul(c[:, None], neg_prow))
+                # U <- U (I + c E_{r,piv}); U is upper unitriangular
+                U[rows, :, piv] = add(U[rows, :, piv], mul(c[:, None], U[:, :, r]))
+            M[rows, piv, j + 1:] = Q1
+        widx = by_code[perm @ (m ** np.arange(m))]
+        assert (cols[widx] == perm).all(), "pivot pattern mismatch"
+        t = mul(vals[widx], M[rows[:, None], perm, np.arange(m)])
+        # each row operation adds E_{r,piv} at an inversion of the pivot
+        # pattern (r pivots a later column), so U is already u: the factor
+        # peel_unipotent would split off is the identity
+        upper = [a * m + b for a, b in self.rs.pos_pairs]
+        off = (U.reshape(n, m * m)[:, upper] != Q1) & ~phi[widx]
+        assert not off.any(), "right factor not unipotent"
+        return widx, U.reshape(n, m * m), t
+
     def reassemble(self, bf: BruhatForm) -> Mat:
         return self.mat_prod([bf.u, self.wdot(bf.w), self.torus(bf.t), bf.v])
 
@@ -449,7 +533,9 @@ class Chevalley:
     def enum_G(self, k: int) -> list[Mat]:
         if self.group_order(k) > GROUP_BUDGET:
             raise BudgetError(
-                f"|G_{k}| = {self.group_order(k)} exceeds the 10^6 budget"
+                f"G_{k} enumeration exceeds the group budget: "
+                f"GROUP_BUDGET={GROUP_BUDGET}, requested "
+                f"{self.group_order(k)} elements"
             )
         key = ("G", k)
         if key not in self._enum_cache:
@@ -462,7 +548,11 @@ class Chevalley:
     def enum_P(self, J, k: int) -> list[Mat]:
         ws = self.rs.subgroup(J)
         if self.group_order(k, ws) > GROUP_BUDGET:
-            raise BudgetError("parabolic enumeration exceeds the 10^6 budget")
+            raise BudgetError(
+                "parabolic enumeration exceeds the group budget: "
+                f"GROUP_BUDGET={GROUP_BUDGET}, requested "
+                f"{self.group_order(k, ws)} elements"
+            )
         key = ("P", frozenset(J), k)
         if key not in self._enum_cache:
             out = []

@@ -268,7 +268,11 @@ def cmd_blocks(cfg: RunConfig):
     chars = build_chars(cfg)
     modulus = chars.coeff.modulus
     if modulus**cfg.rank > BLOCK_GRID_BUDGET:
-        raise BudgetError("ambient character grid exceeds the block budget")
+        raise BudgetError(
+            "ambient character grid exceeds the block budget: "
+            f"BLOCK_GRID_BUDGET={BLOCK_GRID_BUDGET}, requested "
+            f"{modulus**cfg.rank} characters"
+        )
     params = []
     for theta in chars.all_characters():
         for J in subsets(chars.i_theta(theta)):
@@ -408,9 +412,9 @@ def _verify_rank1(cfg: RunConfig, chars: Characters):
 def _verify_socle(cfg: RunConfig, chars: Characters):
     points = []
     for theta in level_char_grid(chars, cfg.k):
-        itheta = chars.i_theta(theta)
-        for J in subsets(itheta):
-            points.append(check_socle(chars, theta, J, cfg.k))
+        ctx = ModuleContext(chars, theta, cfg.k)
+        for J in subsets(ctx.i_theta()):
+            points.append(check_socle(ctx, J))
     header = ["theta", "J", "nabla_dim", "spin_dim", "dim_E", "ok"]
     rows = [
         (

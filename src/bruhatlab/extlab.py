@@ -42,6 +42,12 @@ def _modinv(x: int, ell: int) -> int:
     return pow(x % ell, ell - 2, ell)
 
 
+def _weighted_sum(weights: np.ndarray, stack: np.ndarray, ell: int) -> np.ndarray:
+    """sum_r weights[r] * stack[r] mod ell, each product reduced before the
+    sum: exact in int64 for ell < 2^31 and fewer than 2^32 rows."""
+    return (weights[:, None] * stack % ell).sum(axis=0) % ell
+
+
 def _census_pair_worker(u) -> tuple:
     ctx = _WORK
     return (
@@ -128,7 +134,11 @@ class ExtContext:
         self.Jp = chars.i_theta(self.lam) - self.J
         self.qt = self.tower.level_size(i + 1)
         if self.qt**self.rs.n > UNIPOTENT_BUDGET:
-            raise BudgetError("|U_{i+1}| exceeds the unipotent budget")
+            raise BudgetError(
+                f"U_{i + 1} exceeds the unipotent budget: "
+                f"UNIPOTENT_BUDGET={UNIPOTENT_BUDGET}, requested "
+                f"{self.qt**self.rs.n} elements"
+            )
         self.mu_ctx = ModuleContext(chars, self.mu, i + 1)
         self.mu_E = self.mu_ctx.e_module(self.K)
         self.C_sparse = self.mu_ctx.from_dense(self.mu_E.C)
@@ -141,7 +151,7 @@ class ExtContext:
         self._gamma: list | None = None
         self._g_rest: np.ndarray | None = None
         self._g_rest_count = 0
-        self._parab_terms: list | None = None
+        self._parab_terms: tuple | None = None
 
     # -- elementary moves ---------------------------------------------------
 
@@ -321,49 +331,44 @@ class ExtContext:
     # -- the alternating average vector -------------------------------------
 
     def xi(self, u: Mat, check_eigen: bool = True) -> dict:
+        """The alternating average attached to u: eta is the class of the
+        sum over p in P_{J'} of (1/lambda(p)) (p.u.wdot(w0)).C, and xi the
+        alternating sum of the wdot(w)-translates of eta over W_J.  Each sum
+        is one stacked module action, and residues are linear, so each is
+        projected once.  The identity term of W_J is eta itself."""
         self.require_u(u)
-        cx = self.chev
-        D = self.mu_ctx.D
-        eta = np.zeros(D, dtype=np.int64)
-        terms = self._parabolic_terms()
-        for p, _, coeff in terms:
-            vec = self.class_of(cx.mat_prod([p, u, self.w0dot]))
-            eta = (eta + coeff * vec) % self.ell
+        cx, tw, ell = self.chev, self.tower, self.ell
+        act, project = self.mu_ctx.act_stack, self.mu_E.project
+        P, values, coeffs = self._parabolic_terms()
+        uw0 = np.array(cx.mat_mul(u, self.w0dot), dtype=np.int64)
+        G = kern.mat_mul_codes(P, uw0, cx.m, tw.zech, tw.Q1)
+        eta = project(_weighted_sum(coeffs, act(G, self.mu_E.C), ell))
         report = {"u": self.u_serial(u)}
         if check_eigen:
-            ok = True
-            for p, value, _ in terms:
-                lhs = self._act_class(p, eta)
-                rhs = value * eta % self.ell
-                if not np.array_equal(lhs, rhs):
-                    ok = False
-                    break
-            report["eigen_ok"] = ok
-        xi = np.zeros(D, dtype=np.int64)
-        for w in self.rs.subgroup(self.J):
-            sign = self.ell - 1 if w.length % 2 else 1
-            xi = (
-                xi + sign * self._act_class(cx.wdot_in(self.J, w), eta)
-            ) % self.ell
+            lhs = project(act(P, eta))
+            report["eigen_ok"] = bool((lhs == values[:, None] * eta % ell).all())
+        ws = self.rs.subgroup(self.J)[1:]
+        signs = np.array([ell - 1 if w.length % 2 else 1 for w in ws], dtype=np.int64)
+        wdots = np.array([cx.wdot_in(self.J, w) for w in ws], dtype=np.int64)
+        xi = project((eta + _weighted_sum(signs, act(wdots, eta), ell)) % ell)
         report["xi_nonzero"] = bool(xi.any())
         report["xi_in_top_cell_span"] = bool(self.S_subspace().contains(xi))
         report["vector"] = xi
         return report
 
-    def _parabolic_terms(self) -> list:
-        """(p, lambda(p), 1/lambda(p)) over P_{J'} at level i, in enumeration
-        order.  They do not depend on u, so xi builds them once, on first use."""
+    def _parabolic_terms(self) -> tuple:
+        """P_{J'} at level i in enumeration order as an (n, m*m) code array,
+        with lambda(p) and 1/lambda(p) per row.  They do not depend on u, so
+        xi builds them once, on first use."""
         if self._parab_terms is None:
-            ch, terms = self.chars, []
-            for p in self.chev.enum_P(self.Jp, self.i):
-                value = ch.eval_parabolic(self.lam, self.Jp, p)
-                terms.append((p, value, _modinv(value, self.ell)))
-            self._parab_terms = terms
+            ps = self.chev.enum_P(self.Jp, self.i)
+            values = [self.chars.eval_parabolic(self.lam, self.Jp, p) for p in ps]
+            self._parab_terms = (
+                np.array(ps, dtype=np.int64),
+                np.array(values, dtype=np.int64),
+                np.array([_modinv(v, self.ell) for v in values], dtype=np.int64),
+            )
         return self._parab_terms
-
-    def _act_class(self, g: Mat, dense: np.ndarray) -> np.ndarray:
-        out = self.mu_ctx.act(g, self.mu_ctx.from_dense(dense))
-        return self.mu_E.project(self.mu_ctx.to_dense(out))
 
     # -- census ------------------------------------------------------------
 
@@ -411,12 +416,12 @@ class ExtContext:
         _WORK = None
         club_true = 0
         xi_nonzero = 0
-        implication_ok = True
-        for club, nz in pairs:
+        failing = None  # first u of omega where the club holds and xi vanishes
+        for u, (club, nz) in zip(omega, pairs):
             club_true += club
             xi_nonzero += nz
-            if club and not nz:
-                implication_ok = False
+            if club and not nz and failing is None:
+                failing = u
         P = sum(Fraction(3) ** (w.length - 1) for w in rs.elements)
         report = {
             "context": self.context_echo(),
@@ -429,8 +434,10 @@ class ExtContext:
             "gamma_cell_e_empty": self.gamma_cell_e_empty(),
             "club_true_count": int(club_true),
             "xi_nonzero_count": int(xi_nonzero),
-            "club_implies_xi_nonzero": implication_ok,
+            "club_implies_xi_nonzero": failing is None,
         }
+        if failing is not None:
+            report["first_failing_u"] = self.u_serial(failing)
         report.update(self.h_partition_report())
         report["ok"] = bool(
             all(row["bound_ok"] and row["factorization_ok"] for row in per_w)

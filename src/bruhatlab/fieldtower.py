@@ -158,7 +158,10 @@ class FieldTower:
             raise ValueError("need a >= 1 and 1 <= N <= 3")
         d = a * math.factorial(N)
         if p**d > ENUM_BUDGET:
-            raise BudgetError(f"p^(a*N!) = {p}^{d} exceeds the 2^24 enumeration budget")
+            raise BudgetError(
+                "field tower exceeds the enumeration budget: "
+                f"ENUM_BUDGET={ENUM_BUDGET}, requested {p**d} elements"
+            )
         self.p, self.a, self.N, self.d = p, a, N, d
         self.q = p**a
         self.Q = p**d

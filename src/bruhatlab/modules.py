@@ -279,10 +279,64 @@ class ModuleContext(KeyedModule):
 
     def __init__(self, chars: Characters, theta, k: int):
         super().__init__(chars, theta, k, chars.rs.elements)
+        self._stack_tables: tuple | None = None
 
     def act_key(self, g: Mat, key):
         w, u, t = self.chev.bruhat_cell(self.chev.mat_mul(g, self.key_mat(key)))
         return (w, u), self.chars.eval_diag(self.theta, t)
+
+    def act_stack(self, G, dense) -> np.ndarray:
+        """g . dense for every row g of an (n, m*m) code array G, as the
+        (n, D) stack of images.
+
+        act_key on every pair (g, key), key in the support of dense, runs as
+        one batched product and Chevalley.bruhat_cells, SCAN_CHUNK pairs at
+        a time.  A key (w, u) has index offset(w) plus the mixed-radix
+        position of u's Phi_{w^-1}^- entries, in the order of enum_U_w."""
+        cx, tw, ell = self.chev, self.tower, self.ell
+        if self._stack_tables is None:
+            self._stack_tables = self._build_stack_tables()
+        keys, level, offset, upper, weight = self._stack_tables
+        G = np.asarray(G, dtype=np.int64).reshape(-1, cx.m * cx.m)
+        if (level[G] < 0).any():
+            raise ValueError(f"group element has entries outside level {self.k}")
+        dense = np.asarray(dense, dtype=np.int64) % ell
+        src = dense.nonzero()[0]
+        n, s = G.shape[0], src.size
+        out = np.zeros((n, self.D), dtype=np.int64)
+        for lo in range(0, n * s, kern.SCAN_CHUNK):
+            gi, ki = np.divmod(np.arange(lo, min(lo + kern.SCAN_CHUNK, n * s)), s)
+            prod = kern.mat_mul_codes(G[gi], keys[src[ki]], cx.m, tw.zech, tw.Q1)
+            widx, u, t = cx.bruhat_cells(prod)
+            idx = offset[widx] + (level[u[:, upper]] * weight[widx]).sum(axis=1)
+            scale = self.chars.eval_diags(self.theta, t)
+            out[gi, idx] = dense[src[ki]] * scale % ell
+        return out
+
+    def _build_stack_tables(self) -> tuple:
+        """The key matrices as a (D, m*m) code array, the index of each code
+        in level_members(k) (-1 outside level k), and per Weyl element its
+        first key index and the mixed-radix weight of each strictly upper
+        entry of u (0 off Phi_{w^-1}^-)."""
+        cx, tw, rs, m = self.chev, self.tower, self.rs, self.chev.m
+        keys = kern.mat_mul_codes(
+            np.array([u for _, u in self.keys], dtype=np.int64),
+            np.array([cx.wdot(w) for w, _ in self.keys], dtype=np.int64),
+            m, tw.zech, tw.Q1,
+        )
+        members = tw.level_members(self.k)
+        level = np.full(tw.Q1 + 1, -1, dtype=np.int64)
+        level[members] = np.arange(len(members))
+        upper = [a * m + b for a, b in rs.pos_pairs]
+        qk = len(members)
+        offset = np.zeros(len(rs.elements), dtype=np.int64)
+        weight = np.zeros((len(rs.elements), len(upper)), dtype=np.int64)
+        for e, w in enumerate(rs.elements):
+            offset[e] = self.key_index[(w, cx.identity)]
+            pairs = rs.phi_minus_pairs(rs.inv(w))
+            for j, (a, b) in enumerate(pairs):
+                weight[e, upper.index(a * m + b)] = qk ** (len(pairs) - 1 - j)
+        return keys, level, offset, np.array(upper), weight
 
     # -- serialization -------------------------------------------------------
 
@@ -548,17 +602,17 @@ class InducedContext(KeyedModule):
         return key2, coeff
 
 
-def check_socle(chars: Characters, theta, J, k: int) -> dict:
+def check_socle(ctx: ModuleContext, J) -> dict:
     """Spin the alternating generator inside the induced module and compare
-    its dimension with the quotient dimension from the Bruhat-basis side."""
-    ctx = ModuleContext(chars, theta, k)
+    its dimension with the quotient dimension from the Bruhat-basis side.
+    The module context is the caller's, so one context serves every J."""
     em = ctx.e_module(J)
-    nb = InducedContext(chars, theta, J, k)
+    nb = InducedContext(ctx.chars, ctx.theta, J, ctx.k)
     sub = nb.spin([nb.eta(nb.J)])
     report = {
         "theta": list(ctx.theta),
         "J": sorted(frozenset(J)),
-        "level": k,
+        "level": ctx.k,
         "nabla_dim": nb.D,
         "socle_generator_spin_dim": sub.dim,
         "dim_E": em.dim,

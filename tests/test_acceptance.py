@@ -253,8 +253,9 @@ def test_criterion_09_central_splitter_hundred_twists():
 def test_criterion_10_socle_dimensions():
     t0 = time.perf_counter()
     for chars, theta in basis_grid():
-        for J in subsets(chars.i_theta(theta)):
-            rep = check_socle(chars, theta, J, 1)
+        ctx = ModuleContext(chars, theta, 1)
+        for J in subsets(ctx.i_theta()):
+            rep = check_socle(ctx, J)
             assert rep["ok"], rep
             assert rep["socle_generator_spin_dim"] == rep["dim_E"], rep
     elapsed = time.perf_counter() - t0

@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from bruhatlab.characters import Characters, make_coeff_field
@@ -87,6 +88,16 @@ def test_eval_B_matches_diagonal():
         assert ch.eval_B(theta, b) == ch.eval_diag(theta, ch.chev.diag_of(b))
     with pytest.raises(ValueError):
         ch.eval_B(theta, ch.chev.sdot(1))
+
+
+def test_eval_diags_matches_eval_diag():
+    for p, r in [(3, 1), (2, 2)]:
+        ch = make(p, 1, 2, r)
+        diags = [ch.chev.diag_of(t) for t in ch.chev.enum_T(2)]
+        T = np.array(diags, dtype=np.int64)
+        for theta in ch.all_characters():
+            got = ch.eval_diags(theta, T).tolist()
+            assert got == [ch.eval_diag(theta, d) for d in diags]
 
 
 def test_eval_parabolic():

@@ -3,10 +3,12 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bruhatlab import chevalley
 from bruhatlab.chevalley import Chevalley
 from bruhatlab.fieldtower import BudgetError, build_tower
 from bruhatlab.rootdata import build_A
@@ -193,6 +195,45 @@ def test_bruhat_cell_pivot_pattern_guard():
     cx._wdot_inv_cache[s1.perm] = tuple(rows)
     with pytest.raises(AssertionError, match="pivot pattern mismatch"):
         cx.bruhat_cell(g)
+    # the batched twin reads the same cache when it builds its tables
+    with pytest.raises(AssertionError, match="pivot pattern mismatch"):
+        cx.bruhat_cells(np.array([cx.identity, g]))
+
+
+def _cells_by_row(cx, G) -> list:
+    """bruhat_cells of a list of elements, as one (w, u, t) per element."""
+    widx, u, t = cx.bruhat_cells(np.array(G, dtype=np.int64))
+    return [
+        (cx.rs.elements[e], tuple(int(c) for c in ur), tuple(int(c) for c in tr))
+        for e, ur, tr in zip(widx, u, t)
+    ]
+
+
+def test_bruhat_cells_match_bruhat_cell_on_level_one():
+    for (p, r) in [(3, 1), (2, 2)]:
+        cx = ctx(p, 1, 2, r)
+        G = cx.enum_G(1)
+        assert _cells_by_row(cx, G) == [cx.bruhat_cell(g) for g in G]
+
+
+@st.composite
+def det_one_batches(draw):
+    p, r = draw(st.sampled_from([(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3), (3, 3)]))
+    cx = ctx(p, 1, 2, r)
+    codes = st.sampled_from(cx.tower.level_members(2))
+    one = (
+        st.lists(codes, min_size=cx.m**2, max_size=cx.m**2)
+        .map(lambda e: _det_one(cx, e))
+        .filter(lambda g: g is not None)
+    )
+    return cx, draw(st.lists(one, min_size=1, max_size=12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(det_one_batches())
+def test_bruhat_cells_match_bruhat_cell_property(case):
+    cx, G = case
+    assert _cells_by_row(cx, G) == [cx.bruhat_cell(g) for g in G]
 
 
 def test_peel_unipotent_splits_on_phi_minus():
@@ -356,6 +397,24 @@ def test_budget_guard():
     cx = ctx(3, 1, 3, 1)
     with pytest.raises(BudgetError):
         cx.enum_G(3)  # |SL_2(F_729)| is far beyond 10^6
+
+
+def test_group_budget_names_limit_and_size(monkeypatch):
+    monkeypatch.setattr(chevalley, "GROUP_BUDGET", 23)
+    cx = ctx(3, 1, 2, 1)
+    with pytest.raises(
+        BudgetError, match=r"^G_1 .* GROUP_BUDGET=23, requested 24 elements$"
+    ):
+        cx.enum_G(1)
+
+
+def test_parabolic_budget_names_limit_and_size(monkeypatch):
+    monkeypatch.setattr(chevalley, "GROUP_BUDGET", 5)
+    cx = ctx(3, 1, 2, 1)
+    with pytest.raises(
+        BudgetError, match=r"^parabolic .* GROUP_BUDGET=5, requested 6 elements$"
+    ):
+        cx.enum_P(frozenset(), 1)  # the Borel subgroup of SL_2(3)
 
 
 def test_bruhat_count_identity():

@@ -12,7 +12,7 @@ import os
 import numpy as np
 import pytest
 
-from bruhatlab import extlab, modules
+from bruhatlab import cli, extlab, modules
 from bruhatlab.cli import RunConfig, build_chars, level_char_grid, main
 
 
@@ -195,6 +195,14 @@ def test_scan_budget_exit_code(tmp_path, monkeypatch, capsys):
         )
         assert code == 3
         assert "SCAN_BUDGET=10, requested" in capsys.readouterr().err
+
+
+def test_block_grid_budget_exit_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "BLOCK_GRID_BUDGET", 7)
+    code, _ = run(tmp_path, "blocks", "group=A1", "p=3")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "BLOCK_GRID_BUDGET=7, requested 8 characters" in err
 
 
 def test_key_budget_exit_code(tmp_path, monkeypatch, capsys):

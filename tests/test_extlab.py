@@ -124,6 +124,14 @@ def test_unipotent_budget_guard():
         ExtContext(ch, (1, 1), (1, 1), FS, FS, 2)  # 729^3 cells
 
 
+def test_unipotent_budget_names_limit_and_size(monkeypatch):
+    monkeypatch.setattr(extlab, "UNIPOTENT_BUDGET", 8)
+    with pytest.raises(
+        BudgetError, match=r"^U_2 .* UNIPOTENT_BUDGET=8, requested 9 elements$"
+    ):
+        ExtContext(chars_for(3, 1, 2, 1), (1,), (1,), FS, FS, 1)
+
+
 def test_scan_budgets_fail_before_any_scan(monkeypatch):
     ctx = ExtContext(chars_for(3, 1, 2, 1), (1,), (1,), FS, FS, 1)
     ctx.omega_set()
@@ -250,6 +258,27 @@ def test_census_rank2_frozen():
     assert cen["ok"] is True
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_census_names_first_failing_u(monkeypatch, jobs):
+    # no u of this census has the club, so the failure is forced: the club
+    # holds from the third u of omega on, and xi is reported zero throughout
+    ch = chars_for(3, 1, 2, 1)
+    passing = ExtContext(ch, (1,), (1,), FS, FS, 1).census(jobs=jobs)
+    assert "first_failing_u" not in passing
+    ctx = ExtContext(ch, (1,), (1,), FS, FS, 1)
+    later = set(ctx.omega_set()[2:])
+    monkeypatch.setattr(ExtContext, "claim_club", lambda self, u: u in later)
+    monkeypatch.setattr(
+        ExtContext, "xi", lambda self, u, check_eigen=True: {"xi_nonzero": False}
+    )
+    cen = ctx.census(jobs=jobs)
+    assert cen["club_implies_xi_nonzero"] is False and cen["ok"] is False
+    assert cen["club_true_count"] == 4 and cen["xi_nonzero_count"] == 0
+    assert cen["first_failing_u"] == ctx.u_serial(ctx.omega_set()[2]) == [4]
+    del cen["first_failing_u"]
+    assert set(cen) == set(passing)
+
+
 def test_census_jobs_parity():
     ch = chars_for(3, 1, 2, 1)
     serial = ExtContext(ch, (1,), (1,), FS, FS, 1).census(jobs=1)
@@ -319,6 +348,56 @@ def test_xi_eigen_property_exhaustive():
         rep = ctx.xi(u, check_eigen=True)
         assert rep["eigen_ok"] and rep["xi_nonzero"]
         assert rep["xi_in_top_cell_span"]
+
+
+def _xi_oracle(ctx, u) -> tuple:
+    """(xi vector, eigen_ok) by the per-p class_of sum and the per-key
+    module action, one group element at a time."""
+    cx, ell, mc = ctx.chev, ctx.ell, ctx.mu_ctx
+
+    def act_class(g, dense):
+        return ctx.mu_E.project(mc.to_dense(mc.act(g, mc.from_dense(dense))))
+
+    eta = np.zeros(mc.D, dtype=np.int64)
+    terms = []
+    for p in cx.enum_P(ctx.Jp, ctx.i):
+        value = ctx.chars.eval_parabolic(ctx.lam, ctx.Jp, p)
+        terms.append((p, value))
+        vec = ctx.class_of(cx.mat_prod([p, u, ctx.w0dot]))
+        eta = (eta + pow(value, -1, ell) * vec) % ell
+    eigen_ok = all(
+        np.array_equal(act_class(p, eta), value * eta % ell) for p, value in terms
+    )
+    xi = np.zeros(mc.D, dtype=np.int64)
+    for w in ctx.rs.subgroup(ctx.J):
+        sign = ell - 1 if w.length % 2 else 1
+        xi = (xi + sign * act_class(cx.wdot_in(ctx.J, w), eta)) % ell
+    return xi, eigen_ok
+
+
+@pytest.mark.parametrize(
+    "p, rank, lam, mu, J, reaches",
+    [
+        (3, 1, (1,), (1,), FS, set()),
+        (3, 1, (0,), (0,), frozenset({1}), {"J", "N"}),
+        (3, 1, (0,), (0,), FS, {"J'", "N"}),  # P_{J'} is all of G_1
+        (2, 2, (0, 0), (0, 1), frozenset({1}), {"J", "J'", "N"}),
+    ],
+)
+def test_xi_matches_per_element_oracle(p, rank, lam, mu, J, reaches):
+    ctx = ExtContext(chars_for(p, 1, 2, rank), lam, mu, J, FS, 1)
+    got = {
+        name
+        for name, hit in (("J", ctx.J), ("J'", ctx.Jp), ("N", ctx.mu_E.N.dim))
+        if hit
+    }
+    assert got == reaches
+    for u in ctx.U_list:
+        rep = ctx.xi(u, check_eigen=True)
+        xi, eigen_ok = _xi_oracle(ctx, u)
+        assert np.array_equal(rep["vector"], xi)
+        assert rep["eigen_ok"] == eigen_ok
+        assert rep["xi_nonzero"] == bool(xi.any())
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from bruhatlab import fieldtower
 from bruhatlab.fieldtower import BudgetError, FieldTower, build_tower
 
 
@@ -61,6 +62,14 @@ def test_dlog_basics():
 def test_budget_rejected():
     with pytest.raises(BudgetError):
         FieldTower(5, 2, 3)  # 5^12 > 2^24
+
+
+def test_budget_names_limit_and_size(monkeypatch):
+    monkeypatch.setattr(fieldtower, "ENUM_BUDGET", 80)
+    with pytest.raises(
+        BudgetError, match=r"^field tower .* ENUM_BUDGET=80, requested 81 elements$"
+    ):
+        FieldTower(3, 2, 2)
 
 
 def test_bad_params_rejected():

@@ -112,6 +112,8 @@ def test_action_rejects_wrong_level():
     g = ctx.chev.eps_simple(1, outside)
     with pytest.raises(ValueError):
         ctx.act(g, one_vec(ctx))
+    with pytest.raises(ValueError):
+        ctx.act_stack(np.array([ctx.chev.identity, g]), ctx.to_dense(one_vec(ctx)))
 
 
 def test_action_is_monomial_bijection():
@@ -121,6 +123,32 @@ def test_action_is_monomial_bijection():
         perm, scale = ctx.action_table(ctx.random_group_elt(rng))
         assert sorted(perm.tolist()) == list(range(ctx.D))
         assert all(0 < s < ctx.ell for s in scale.tolist())
+
+
+@pytest.mark.parametrize(
+    "p, r, theta, k", [(3, 1, (1,), 1), (3, 1, (1,), 2), (2, 2, (1, 0), 2)]
+)
+def test_act_stack_matches_per_key_action(p, r, theta, k, monkeypatch):
+    # act_key, one key at a time, is the oracle of the stacked action; the
+    # characters are not 1 on the level-k torus, so scales are tested too
+    ctx = ctx_for(p, 1, 2, r, theta, k)
+    rng = random.Random(31)
+    G = ctx.generators() + [ctx.random_group_elt(rng) for _ in range(10)]
+    dense = np.array([rng.randrange(ctx.ell) for _ in range(ctx.D)])
+    dense[rng.randrange(ctx.D)] = 0
+    want = np.zeros((len(G), ctx.D), dtype=np.int64)
+    scales = set()
+    for row, g in enumerate(G):
+        for i, key in enumerate(ctx.keys):
+            key2, mult = ctx.act_key(g, key)
+            want[row, ctx.key_index[key2]] = dense[i] * mult % ctx.ell
+            scales.add(mult)
+    assert scales != {1}
+    assert np.array_equal(ctx.act_stack(np.array(G), dense), want)
+    # chunk boundaries inside the (g, key) pairs change nothing
+    monkeypatch.setattr(mod.kern, "SCAN_CHUNK", 7)
+    assert np.array_equal(ctx.act_stack(np.array(G), dense), want)
+    assert ctx.act_stack(np.zeros((0, ctx.chev.m**2)), dense).shape == (0, ctx.D)
 
 
 def test_center_acts_by_scalar():
@@ -426,8 +454,9 @@ def test_socle_comparison_grid():
         ),
     ]
     for ch, theta, k, Js in cases:
+        ctx = mod.ModuleContext(ch, theta, k)
         for J in Js:
-            rep = mod.check_socle(ch, theta, J, k)
+            rep = mod.check_socle(ctx, J)
             assert rep["ok"], rep
 
 
