@@ -148,15 +148,17 @@ class Characters:
             self.i_theta(theta, k) == top for k in range(1, self.tower.N + 1)
         )
 
-    def eval_parabolic(self, theta, Jp, p: Mat) -> int:
-        """Evaluate through P_J' = U_J' x| L_J': only the torus part counts."""
+    def eval_parabolic(self, theta, Jp, P) -> np.ndarray:
+        """Evaluate on every row of an (n, m*m) code array P through
+        P_J' = U_J' x| L_J': only the torus part of the Bruhat form counts."""
         Jp = frozenset(Jp)
         if not Jp <= self.i_theta(theta):
             raise ValueError("J' must be contained in I(theta)")
-        w, _, t = self.chev.bruhat_cell(p)
-        if not set(w.word) <= Jp:
+        widx, _, T = self.chev.bruhat_cells(P)
+        inside = np.array([set(w.word) <= Jp for w in self.rs.elements])
+        if not inside[widx].all():
             raise ValueError("element not in the parabolic subgroup P_J'")
-        return self.eval_diag(theta, t)
+        return self.eval_diags(theta, T)
 
     # -- central characters and blocks ----------------------------------------
 

@@ -6,12 +6,12 @@ form g = u * wdot(w) * t * v with u supported on Phi_{w^-1}^-, rank-1
 structure constants, and canonical enumeration of U_k, T_k, B_k, G_k,
 parabolic subsets and centers at each tower level.
 
-Two decompositions run the same pivot elimination and share one
-unipotent-peeling routine: `bruhat_cell` returns (w, u, t) only and is the
-fast path of every module action; `bruhat_form` also builds the right factor
-v, for the callers that need it and as the test oracle of `bruhat_cell`.
-`bruhat_cells` is the batched twin of `bruhat_cell` over a code array, for
-the stacked module action.
+Two decompositions run the same pivot elimination.  `bruhat_cells` is the
+one used by module actions: it returns (w, u, t) for a whole code array at
+once.  `bruhat_form` takes one element, also builds the right factor v, and
+serves `rank1_constants`, `reassemble` and the per-element test oracles.
+`peel_unipotents` splits a stack of unipotents on Phi_x^- for the induced
+module's coset keys; the scalar `peel_unipotent` is its oracle.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ class Chevalley:
         self._sdot_cache: dict[int, Mat] = {}
         self._wdot_cache: dict[tuple, Mat] = {}
         self._wdot_inv_cache: dict[tuple, tuple] = {}
-        self._peel_cache: dict[tuple, tuple] = {}
         self._cells_cache: tuple | None = None
+        self._rank1_cache: dict[tuple, tuple] = {}
         self._enum_cache: dict[tuple, list] = {}
 
     # -- raw matrix arithmetic ----------------------------------------------
@@ -217,28 +217,18 @@ class Chevalley:
             )
         return self._wdot_inv_cache[key]
 
-    def _peel_order(self, x: WeylElt) -> tuple:
-        """Phi_x^- positions in ascending height, then by row."""
-        key = x.perm
-        if key not in self._peel_cache:
-            self._peel_cache[key] = tuple(
-                sorted(
-                    self.rs.phi_minus_pairs(x),
-                    key=lambda ab: (ab[1] - ab[0], ab[0]),
-                )
-            )
-        return self._peel_cache[key]
-
     def peel_unipotent(self, R: list, x: WeylElt) -> Mat:
         """Split unitriangular rows R in place as u * R' with u supported on
-        Phi_x^- positions only; return u and leave R' in R.
+        Phi_x^- positions only; return u and leave R' in R.  The one-element
+        oracle of peel_unipotents.
 
         Peeling in ascending height lets disturbances flow upward only, so
-        R' ends up zero at every Phi_x^- position.
+        R' ends up zero at every Phi_x^- position; phi_minus_pairs keeps the
+        order of rs.pos_pairs, ascending height and then by row.
         """
         tw, m = self.tower, self.m
         u = list(self.identity)
-        for a, b in self._peel_order(x):
+        for a, b in self.rs.phi_minus_pairs(x):
             c = R[a][b]
             if c == tw.ZERO:
                 continue
@@ -291,67 +281,14 @@ class Chevalley:
         t_mat = self.mat_mul(self.mat_inv(self.wdot(w)), monomial)
         t = self.diag_of(t_mat)
         assert t_mat == self.torus(t), "pivot pattern mismatch"
-        v0 = tuple(x for row in v_acc for x in row)
-
-        # split u0 = u * u2 with u supported on Phi_{w^-1}^- positions only
-        u = self.peel_unipotent(u_acc, self.rs.inv(w))
-        u2 = tuple(x for row in u_acc for x in row)
-        # push the complementary factor through wdot and t into the right part
-        x = self.mat_prod(
-            [self.mat_inv(self.wdot(w)), u2, self.wdot(w)]
-        )
-        t_inv = self.torus(tuple(tw.inv(d) for d in t))
-        v = self.mat_prod([t_inv, x, self.torus(t), v0])
-        assert self.is_unitriangular(v), "right factor not unipotent"
-        return BruhatForm(u=u, w=w, t=t, v=v)
-
-    def bruhat_cell(self, g: Mat) -> tuple:
-        """(w, u, t) of the Bruhat form of g, without building v.
-
-        The elimination of bruhat_form with each step's row operations done
-        first: once they have cleared the pivot column, the column operations
-        that build v change only the pivot row, and only to zero it right of
-        the pivot, so that row is zeroed directly.  Both checks of
-        bruhat_form stay, in a cheap form: the pivot pattern must match the
-        nonzero pattern of wdot(w)^-1, and the factor left after peeling u
-        must vanish at every Phi_{w^-1}^- position, which is exactly v being
-        unipotent.
-        """
-        tw, m = self.tower, self.m
-        zero, mul, sub, add = tw.ZERO, tw.mul, tw.sub, tw.add
-        M = [list(g[i * m : (i + 1) * m]) for i in range(m)]
-        U = [list(self.identity[i * m : (i + 1) * m]) for i in range(m)]
-        used = [False] * m
-        perm_col = [0] * m
-        for j in range(m):
-            piv = max(r for r in range(m) if not used[r] and M[r][j] != zero)
-            used[piv] = True
-            perm_col[j] = piv
-            prow = M[piv]
-            inv = tw.inv(prow[j])
-            for r in range(piv):
-                c = mul(M[r][j], inv)
-                if c != zero:
-                    row = M[r]
-                    for j2 in range(j, m):
-                        row[j2] = sub(row[j2], mul(c, prow[j2]))
-                    # U <- U (I + c E_{r,piv}); U is upper unitriangular
-                    for i in range(r + 1):
-                        U[i][piv] = add(U[i][piv], mul(c, U[i][r]))
-            for j2 in range(j + 1, m):
-                prow[j2] = zero
-        w = self.rs.by_perm(perm_col)
-        # t = diagonal of wdot(w)^-1 times the monomial matrix left in M
-        t = []
-        for i, (col, s) in enumerate(self._wdot_inv_rows(w)):
-            assert col == perm_col[i], "pivot pattern mismatch"
-            t.append(mul(s, M[col][i]))
-        winv = self.rs.inv(w)
-        u = self.peel_unipotent(U, winv)
-        assert all(
-            U[a][b] == zero for a, b in self._peel_order(winv)
-        ), "right factor not unipotent"
-        return w, u, tuple(t)
+        # a row operation adds E_{r,piv} only where r pivots a later column,
+        # an inversion of the pivot pattern, so u_acc lies in U_{w^-1}
+        # already: peeling it would split off the identity
+        u = tuple(x for row in u_acc for x in row)
+        inside = set(self.rs.phi_minus_pairs(self.rs.inv(w)))
+        off = [a * m + b for a, b in self.rs.pos_pairs if (a, b) not in inside]
+        assert all(u[i] == tw.ZERO for i in off), "left factor outside U_{w^-1}"
+        return BruhatForm(u=u, w=w, t=t, v=tuple(x for row in v_acc for x in row))
 
     def _cells_tables(self) -> tuple:
         """Per Weyl element, in rs.elements order: the (column, value) rows
@@ -373,27 +310,21 @@ class Chevalley:
         return self._cells_cache
 
     def bruhat_cells(self, G) -> tuple:
-        """Batched twin of bruhat_cell over an (n, m*m) code array G.
+        """(w, u, t) of the Bruhat form of every row of an (n, m*m) code array G.
 
         Returns (widx, u, t): w = rs.elements[widx[r]], u an (n, m*m) and t
-        an (n, m) code array, row r equal to bruhat_cell(G[r]).  The pivot
-        elimination of bruhat_cell runs on every row at once, looping over m
-        only; the last column needs no row operations, since every other
-        row is then a used pivot row, zero right of its pivot.  Both checks
-        of bruhat_cell stay: the pivot pattern against _wdot_inv_rows, and
-        v unipotent, here in the form that the row operations left u inside
-        U_{w^-1}, so that peeling would split off the identity.
+        an (n, m) code array, row r matching bruhat_form(G[r]).  The pivot
+        elimination of bruhat_form runs on every row at once, looping over m
+        only, with each step's row operations first: once they have cleared
+        the pivot column, the column operations that build v only zero the
+        pivot row right of the pivot, so that row is zeroed directly.  The
+        last column needs no row operations, since every other row is then
+        a used pivot row.  Both checks of bruhat_form stay: the pivot
+        pattern against _wdot_inv_rows, and u inside U_{w^-1}.
         """
         tw, m = self.tower, self.m
-        Q1, zech = tw.Q1, tw.zech
-        minus_one = tw.neg(tw.ONE)
-
-        def mul(a, b):
-            return kern._code_mul(a, b, Q1)
-
-        def add(a, b):
-            return kern._code_add(a, b, zech, Q1)
-
+        Q1, minus_one = tw.Q1, tw.neg(tw.ONE)
+        mul, add = self._mul_codes, self._add_codes
         cols, vals, phi, by_code = self._cells_tables()
         M = np.array(G, dtype=np.int64).reshape(-1, m, m)
         n = M.shape[0]
@@ -423,13 +354,36 @@ class Chevalley:
         widx = by_code[perm @ (m ** np.arange(m))]
         assert (cols[widx] == perm).all(), "pivot pattern mismatch"
         t = mul(vals[widx], M[rows[:, None], perm, np.arange(m)])
-        # each row operation adds E_{r,piv} at an inversion of the pivot
-        # pattern (r pivots a later column), so U is already u: the factor
-        # peel_unipotent would split off is the identity
+        # as in bruhat_form, U is already u
         upper = [a * m + b for a, b in self.rs.pos_pairs]
         off = (U.reshape(n, m * m)[:, upper] != Q1) & ~phi[widx]
-        assert not off.any(), "right factor not unipotent"
+        assert not off.any(), "left factor outside U_{w^-1}"
         return widx, U.reshape(n, m * m), t
+
+    def peel_unipotents(self, U, widx) -> tuple:
+        """peel_unipotent on every row of an (n, m*m) code array U of upper
+        unitriangular matrices, row r on Phi_{w^-1}^- for w =
+        rs.elements[widx[r]].  Returns the code arrays (u, R) with U = u R
+        row by row, u supported on Phi_{w^-1}^- and R zero there.  The
+        positive pairs are in ascending height, then by row, so each row
+        peels in the order of peel_unipotent."""
+        tw, m = self.tower, self.m
+        mul, add = self._mul_codes, self._add_codes
+        phi = self._cells_tables()[2][widx]
+        R = np.array(U, dtype=np.int64).reshape(-1, m, m)
+        u = np.broadcast_to(np.array(self.identity).reshape(m, m), R.shape).copy()
+        for k, (a, b) in enumerate(self.rs.pos_pairs):
+            c = np.where(phi[:, k], R[:, a, b], tw.Q1)[:, None]
+            R[:, a, b:] = add(R[:, a, b:], mul(mul(c, tw.neg(tw.ONE)), R[:, b, b:]))
+            # u <- u * eps((a, b), c): add c times column a to column b
+            u[:, :a + 1, b] = add(u[:, :a + 1, b], mul(c, u[:, :a + 1, a]))
+        return u.reshape(-1, m * m), R.reshape(-1, m * m)
+
+    def _mul_codes(self, a, b):
+        return kern._code_mul(a, b, self.tower.Q1)
+
+    def _add_codes(self, a, b):
+        return kern._code_add(a, b, self.tower.zech, self.tower.Q1)
 
     def reassemble(self, bf: BruhatForm) -> Mat:
         return self.mat_prod([bf.u, self.wdot(bf.w), self.torus(bf.t), bf.v])
@@ -442,6 +396,8 @@ class Chevalley:
         tw = self.tower
         if x == tw.ZERO:
             raise ValueError("rank1_constants undefined at x = 0")
+        if (i, x) in self._rank1_cache:
+            return self._rank1_cache[(i, x)]
         s = self.sdot(i)
         lhs = self.mat_prod([s, self.eps_simple(i, x), self.mat_inv(s)])
         bf = self.bruhat_form(lhs)
@@ -456,6 +412,7 @@ class Chevalley:
         # v must be a pure root element
         assert bf.v == self.eps_simple(i, g2)
         assert f != tw.ZERO and g2 != tw.ZERO
+        self._rank1_cache[(i, x)] = (f, h, g2)
         return f, h, g2
 
     # -- canonical enumerations ----------------------------------------------
@@ -532,11 +489,8 @@ class Chevalley:
 
     def enum_G(self, k: int) -> list[Mat]:
         if self.group_order(k) > GROUP_BUDGET:
-            raise BudgetError(
-                f"G_{k} enumeration exceeds the group budget: "
-                f"GROUP_BUDGET={GROUP_BUDGET}, requested "
-                f"{self.group_order(k)} elements"
-            )
+            raise BudgetError(f"G_{k} enumeration", "group", "GROUP_BUDGET",
+                              GROUP_BUDGET, self.group_order(k), "elements")
         key = ("G", k)
         if key not in self._enum_cache:
             out = []
@@ -548,11 +502,8 @@ class Chevalley:
     def enum_P(self, J, k: int) -> list[Mat]:
         ws = self.rs.subgroup(J)
         if self.group_order(k, ws) > GROUP_BUDGET:
-            raise BudgetError(
-                "parabolic enumeration exceeds the group budget: "
-                f"GROUP_BUDGET={GROUP_BUDGET}, requested "
-                f"{self.group_order(k, ws)} elements"
-            )
+            raise BudgetError("parabolic enumeration", "group", "GROUP_BUDGET",
+                              GROUP_BUDGET, self.group_order(k, ws), "elements")
         key = ("P", frozenset(J), k)
         if key not in self._enum_cache:
             out = []

@@ -18,6 +18,9 @@ import os
 import random
 import sys
 
+import numpy as np
+
+from . import _backend as kern
 from .characters import Characters, make_coeff_field
 from .chevalley import Chevalley
 from .extlab import ExtContext, SynthExtension, central_split, least_central_witness
@@ -268,11 +271,8 @@ def cmd_blocks(cfg: RunConfig):
     chars = build_chars(cfg)
     modulus = chars.coeff.modulus
     if modulus**cfg.rank > BLOCK_GRID_BUDGET:
-        raise BudgetError(
-            "ambient character grid exceeds the block budget: "
-            f"BLOCK_GRID_BUDGET={BLOCK_GRID_BUDGET}, requested "
-            f"{modulus**cfg.rank} characters"
-        )
+        raise BudgetError("ambient character grid", "block", "BLOCK_GRID_BUDGET",
+                          BLOCK_GRID_BUDGET, modulus**cfg.rank, "characters")
     params = []
     for theta in chars.all_characters():
         for J in subsets(chars.i_theta(theta)):
@@ -432,16 +432,19 @@ def _verify_socle(cfg: RunConfig, chars: Characters):
 
 def _verify_action(cfg: RunConfig, chars: Characters):
     ctx = ModuleContext(chars, cfg.theta, cfg.k)
+    tw, ell = chars.tower, ctx.ell
     rng = random.Random(cfg.seed)
-    ok = True
+    samples = []
     for _ in range(cfg.samples):
         g = ctx.random_group_elt(rng)
         h = ctx.random_group_elt(rng)
-        key = ctx.keys[rng.randrange(ctx.D)]
-        vec = {key: 1 + rng.randrange(ctx.ell - 1)}
-        two_step = ctx.act(g, ctx.act(h, vec))
-        one_step = ctx.act(chars.chev.mat_mul(g, h), vec)
-        ok = ok and two_step == one_step
+        samples.append((g, h, rng.randrange(ctx.D), 1 + rng.randrange(ell - 1)))
+    # g . (h . c key) against (g h) . c key, every sample in one stacked pass each
+    G, H, src, c = (np.array(col, dtype=np.int64) for col in zip(*samples))
+    mid, s1 = ctx._images(H, src)
+    two, s2 = ctx._images(G, mid)
+    one, s3 = ctx._images(kern.mat_mul_codes(G, H, chars.chev.m, tw.zech, tw.Q1), src)
+    ok = bool((two == one).all() and (c * s1 % ell * s2 % ell == c * s3 % ell).all())
     points = [
         {
             "theta": list(ctx.theta),
@@ -639,7 +642,7 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # an ell too large overflows int64
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     report, stem, header, rows = result

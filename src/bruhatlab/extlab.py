@@ -28,7 +28,9 @@ from . import _backend as kern
 from .characters import Characters
 from .chevalley import Mat
 from .fieldtower import BudgetError
-from .modules import ModuleContext, Subspace, level_generators, spin_closure
+from .modules import (
+    ModuleContext, Subspace, level_generators, spin_closure, weighted_sum,
+)
 
 UNIPOTENT_BUDGET = 10**6
 SCAN_BUDGET = 10**8
@@ -36,16 +38,6 @@ _PROBE_SEED = 414243
 
 # shared state for forked census workers; set right before the pool spawns
 _WORK: "ExtContext | None" = None
-
-
-def _modinv(x: int, ell: int) -> int:
-    return pow(x % ell, ell - 2, ell)
-
-
-def _weighted_sum(weights: np.ndarray, stack: np.ndarray, ell: int) -> np.ndarray:
-    """sum_r weights[r] * stack[r] mod ell, each product reduced before the
-    sum: exact in int64 for ell < 2^31 and fewer than 2^32 rows."""
-    return (weights[:, None] * stack % ell).sum(axis=0) % ell
 
 
 def _census_pair_worker(u) -> tuple:
@@ -134,19 +126,16 @@ class ExtContext:
         self.Jp = chars.i_theta(self.lam) - self.J
         self.qt = self.tower.level_size(i + 1)
         if self.qt**self.rs.n > UNIPOTENT_BUDGET:
-            raise BudgetError(
-                f"U_{i + 1} exceeds the unipotent budget: "
-                f"UNIPOTENT_BUDGET={UNIPOTENT_BUDGET}, requested "
-                f"{self.qt**self.rs.n} elements"
-            )
+            raise BudgetError(f"U_{i + 1}", "unipotent", "UNIPOTENT_BUDGET",
+                              UNIPOTENT_BUDGET, self.qt**self.rs.n, "elements")
         self.mu_ctx = ModuleContext(chars, self.mu, i + 1)
         self.mu_E = self.mu_ctx.e_module(self.K)
-        self.C_sparse = self.mu_ctx.from_dense(self.mu_E.C)
         self.w0dot = self.chev.wdot(self.rs.w0)
         self.U_list = self.chev.enum_U(i + 1)
         self.U_i_set = set(self.chev.enum_U(i))
         self._S: Subspace | None = None
         self._omega_w_sets: dict = {}
+        self._h_sets: dict = {}
         self._omega: list | None = None
         self._gamma: list | None = None
         self._g_rest: np.ndarray | None = None
@@ -155,10 +144,16 @@ class ExtContext:
 
     # -- elementary moves ---------------------------------------------------
 
-    def class_of(self, g: Mat) -> np.ndarray:
-        """Canonical representative of g . C in the target quotient."""
-        vec = self.mu_ctx.act(g, self.C_sparse)
-        return self.mu_E.project(self.mu_ctx.to_dense(vec))
+    def class_of(self, G) -> np.ndarray:
+        """Canonical representatives of g . C in the target quotient, one row
+        per row g of an (n, m*m) code array G."""
+        return self.mu_E.project(self.mu_ctx.act_stack(G, self.mu_E.C))
+
+    def _U_times(self, left: Mat, right: Mat) -> np.ndarray:
+        """left * x * right for every x of U_list, as a code array."""
+        tw, m, U = self.tower, self.chev.m, np.array(self.U_list, dtype=np.int64)
+        LU = kern.mat_mul_codes(left, U, m, tw.zech, tw.Q1)
+        return kern.mat_mul_codes(LU, right, m, tw.zech, tw.Q1)
 
     def require_u(self, u: Mat):
         if not (
@@ -177,25 +172,17 @@ class ExtContext:
     def S_subspace(self) -> Subspace:
         if self._S is None:
             S = Subspace(self.mu_ctx.D, self.ell)
-            for x in self.U_list:
-                S.insert(self.class_of(self.chev.mat_mul(x, self.w0dot)))
+            for row in self.class_of(self._U_times(self.chev.identity, self.w0dot)):
+                S.insert(row)
             self._S = S
         return self._S
 
     def omega_w(self, w):
         """(Omega_w, Omega'_w) in canonical enumeration order."""
         if w.perm not in self._omega_w_sets:
-            S = self.S_subspace()
-            wd = self.chev.wdot(w)
-            om = [
-                x
-                for x in self.U_list
-                if S.contains(
-                    self.class_of(
-                        self.chev.mat_prod([wd, x, self.w0dot])
-                    )
-                )
-            ]
+            classes = self.class_of(self._U_times(self.chev.wdot(w), self.w0dot))
+            inside = ~self.S_subspace().residue(classes).any(axis=1)
+            om = [x for x, ok in zip(self.U_list, inside) if ok]
             om_set = set(om)
             omp = [
                 x
@@ -206,14 +193,17 @@ class ExtContext:
         return self._omega_w_sets[w.perm]
 
     def h_set(self, u: Mat) -> frozenset:
-        self.require_u(u)
-        cx = self.chev
-        out = set()
-        for t in cx.enum_T(self.i):
-            conj = cx.mat_prod([t, u, cx.mat_inv(t)])
-            for x in cx.enum_U(self.i):
-                out.add(cx.mat_mul(x, conj))
-        return frozenset(out)
+        """{x t u t^-1 : t in T_i, x in U_i}, built once per u."""
+        if u not in self._h_sets:
+            self.require_u(u)
+            cx = self.chev
+            out = set()
+            for t in cx.enum_T(self.i):
+                conj = cx.mat_prod([t, u, cx.mat_inv(t)])
+                for x in cx.enum_U(self.i):
+                    out.add(cx.mat_mul(x, conj))
+            self._h_sets[u] = frozenset(out)
+        return self._h_sets[u]
 
     def omega_set(self) -> list:
         if self._omega is None:
@@ -284,11 +274,8 @@ class ExtContext:
             self._noncentral_level_i()
             requested = len(omega) * self._g_rest_count
             if requested > SCAN_BUDGET:
-                raise BudgetError(
-                    "gamma scan exceeds the membership budget: "
-                    f"SCAN_BUDGET={SCAN_BUDGET}, requested {requested} "
-                    "conjugations"
-                )
+                raise BudgetError("gamma scan", "membership", "SCAN_BUDGET",
+                                  SCAN_BUDGET, requested, "conjugations")
             _WORK = self
             hits = _pmap(_gamma_hit_worker, omega, jobs)
             _WORK = None
@@ -315,11 +302,8 @@ class ExtContext:
         garr = self._noncentral_level_i()
         requested = self._g_rest_count * len(self.rs.elements)
         if requested > SCAN_BUDGET:
-            raise BudgetError(
-                "club scan exceeds the membership budget: "
-                f"SCAN_BUDGET={SCAN_BUDGET}, requested {requested} "
-                "conjugations"
-            )
+            raise BudgetError("club scan", "membership", "SCAN_BUDGET",
+                              SCAN_BUDGET, requested, "conjugations")
         cx = self.chev
         P = cx.mat_inv(cx.mat_mul(u, self.w0dot))
         for w in self.rs.elements:
@@ -342,7 +326,7 @@ class ExtContext:
         P, values, coeffs = self._parabolic_terms()
         uw0 = np.array(cx.mat_mul(u, self.w0dot), dtype=np.int64)
         G = kern.mat_mul_codes(P, uw0, cx.m, tw.zech, tw.Q1)
-        eta = project(_weighted_sum(coeffs, act(G, self.mu_E.C), ell))
+        eta = project(weighted_sum(coeffs, act(G, self.mu_E.C), ell))
         report = {"u": self.u_serial(u)}
         if check_eigen:
             lhs = project(act(P, eta))
@@ -350,7 +334,7 @@ class ExtContext:
         ws = self.rs.subgroup(self.J)[1:]
         signs = np.array([ell - 1 if w.length % 2 else 1 for w in ws], dtype=np.int64)
         wdots = np.array([cx.wdot_in(self.J, w) for w in ws], dtype=np.int64)
-        xi = project((eta + _weighted_sum(signs, act(wdots, eta), ell)) % ell)
+        xi = project((eta + weighted_sum(signs, act(wdots, eta), ell)) % ell)
         report["xi_nonzero"] = bool(xi.any())
         report["xi_in_top_cell_span"] = bool(self.S_subspace().contains(xi))
         report["vector"] = xi
@@ -361,13 +345,10 @@ class ExtContext:
         with lambda(p) and 1/lambda(p) per row.  They do not depend on u, so
         xi builds them once, on first use."""
         if self._parab_terms is None:
-            ps = self.chev.enum_P(self.Jp, self.i)
-            values = [self.chars.eval_parabolic(self.lam, self.Jp, p) for p in ps]
-            self._parab_terms = (
-                np.array(ps, dtype=np.int64),
-                np.array(values, dtype=np.int64),
-                np.array([_modinv(v, self.ell) for v in values], dtype=np.int64),
-            )
+            P = np.array(self.chev.enum_P(self.Jp, self.i), dtype=np.int64)
+            values = self.chars.eval_parabolic(self.lam, self.Jp, P)
+            inverses = [pow(int(v), -1, self.ell) for v in values]
+            self._parab_terms = (P, values, np.array(inverses, dtype=np.int64))
         return self._parab_terms
 
     # -- census ------------------------------------------------------------
@@ -470,8 +451,8 @@ class ExtContext:
         xi_rep = self.xi(u)
         xi_vec = xi_rep["vector"]
         gens = level_generators(self.chev, self.i)
-        lam_tables = {g: lam_ctx.action_table(g) for g in gens}
-        mu_tables = {g: self.mu_ctx.action_table(g) for g in gens}
+        lam_tables = dict(zip(gens, lam_ctx.action_tables(gens)))
+        mu_tables = dict(zip(gens, self.mu_ctx.action_tables(gens)))
         Dl = lam_ctx.D
         # pairs (v, w) of the map, the lambda class v leading and w carried
         solver = Subspace(Dl, self.ell, carry=self.mu_ctx.D)
@@ -583,6 +564,9 @@ class ExtContext:
         big_rows = [embed(r, np.zeros(Dm, dtype=np.int64)) for r in lam_rows]
         big_rows += [embed(np.zeros(Dl, dtype=np.int64), r) for r in mu_rows]
 
+        lam_ctx.action_tables(fix_gens)  # both sides' tables in one pass each
+        self.mu_ctx.action_tables(fix_gens)
+
         def act_big(g, vec):
             vl = lam_E.project(lam_ctx.apply_table(lam_ctx.action_table(g), vec[:Dl]))
             vm = self.mu_E.project(
@@ -687,23 +671,25 @@ def split_blocks(chars: Characters, lam, mu, J, K, k: int) -> SplitBlocks:
     c0 = least_central_witness(chars, lam, mu)
     if c0 is None:
         raise ValueError("characters agree on the center")
-    # per quotient: its module, the quotient, the class basis and the
-    # pivot columns that give a class its coordinates in that basis
+    # per quotient: its module, the quotient, the class basis, the pivot
+    # columns that give a class its coordinates in that basis, and the
+    # tables of the generators and c0, built in one stacked pass
+    elts = level_generators(chars.chev, k) + [c0]
     quotients = []
     for theta, S in ((lam, J), (mu, K)):
         ctx = ModuleContext(chars, theta, k)
         em = ctx.e_module(S)
         basis = em.class_basis()
         piv = [int(np.nonzero(r)[0][0]) for r in basis]
-        quotients.append((ctx, em, basis, piv))
+        quotients.append((ctx, em, basis, piv, ctx.action_tables(elts)))
     dl, dm = (len(q[2]) for q in quotients)
     n = dl + dm
 
-    def block_mat(g):
+    def block_mat(e):
         out = np.zeros((n, n), dtype=np.int64)
         off = 0
-        for ctx, em, basis, piv in quotients:
-            table = ctx.action_table(g)
+        for ctx, em, basis, piv, tables in quotients:
+            table = tables[e]
             for b, row in enumerate(basis):
                 img = em.project(ctx.apply_table(table, row))
                 out[off:off + len(basis), off + b] = img[piv]
@@ -714,9 +700,9 @@ def split_blocks(chars: Characters, lam, mu, J, K, k: int) -> SplitBlocks:
     out = SplitBlocks(
         dl=dl,
         dm=dm,
-        gens=tuple(block_mat(g) for g in level_generators(chars.chev, k)),
+        gens=tuple(block_mat(e) for e in range(len(elts) - 1)),
         c0=c0,
-        c0_block=block_mat(c0),
+        c0_block=block_mat(-1),
         a=chars.eval(lam, c0),
         b=chars.eval(mu, c0),
     )

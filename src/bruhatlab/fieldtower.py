@@ -22,7 +22,20 @@ ENUM_BUDGET = 2**24
 
 
 class BudgetError(Exception):
-    """An enumeration budget from the build contract was exceeded."""
+    """An enumeration budget was exceeded: `subject` would need `requested`
+    `unit`, beyond the `kind` budget `name` = `limit`."""
+
+    def __init__(self, subject: str, kind: str, name: str, limit: int,
+                 requested: int, unit: str):
+        super().__init__(subject, kind, name, limit, requested, unit)
+        self.subject, self.kind, self.name = subject, kind, name
+        self.limit, self.requested, self.unit = limit, requested, unit
+
+    def __str__(self) -> str:
+        return (
+            f"{self.subject} exceeds the {self.kind} budget: "
+            f"{self.name}={self.limit}, requested {self.requested} {self.unit}"
+        )
 
 
 def _is_prime(n: int) -> bool:
@@ -158,10 +171,8 @@ class FieldTower:
             raise ValueError("need a >= 1 and 1 <= N <= 3")
         d = a * math.factorial(N)
         if p**d > ENUM_BUDGET:
-            raise BudgetError(
-                "field tower exceeds the enumeration budget: "
-                f"ENUM_BUDGET={ENUM_BUDGET}, requested {p**d} elements"
-            )
+            raise BudgetError("field tower", "enumeration", "ENUM_BUDGET",
+                              ENUM_BUDGET, p**d, "elements")
         self.p, self.a, self.N, self.d = p, a, N, d
         self.q = p**a
         self.Q = p**d

@@ -12,7 +12,10 @@ resulting quotients (with canonical coset representatives given by echelon
 reduction) realize the generated-submodule and simple-quotient constructions;
 an induced-from-parabolic realization with coset bases is provided alongside,
 with a generator whose spin is compared against the quotient dimension.  Both
-realizations share one base, `KeyedModule`, and differ only in act_key.
+realizations share one base, `KeyedModule`, whose one stacked action runs
+every (group element, key) pair of a call through one batched product and
+one Bruhat-cell pass; they differ only in `_locate`, which names the key and
+scale of each product.
 """
 
 from __future__ import annotations
@@ -106,28 +109,12 @@ class Subspace:
         return other.contains(self.basis_matrix())
 
 
-# -- sparse vector helpers ------------------------------------------------------
+# -- vector helpers ---------------------------------------------------------------
 
-def vadd(a: dict, b: dict, ell: int) -> dict:
-    out = dict(a)
-    for key, c in b.items():
-        v = (out.get(key, 0) + c) % ell
-        if v:
-            out[key] = v
-        else:
-            out.pop(key, None)
-    return out
-
-
-def vscale(c: int, a: dict, ell: int) -> dict:
-    c %= ell
-    if c == 0:
-        return {}
-    return {key: (c * v) % ell for key, v in a.items()}
-
-
-def vsub(a: dict, b: dict, ell: int) -> dict:
-    return vadd(a, vscale(ell - 1, b, ell), ell)
+def weighted_sum(weights: np.ndarray, stack: np.ndarray, ell: int) -> np.ndarray:
+    """sum_r weights[r] * stack[r] mod ell, each product reduced before the
+    sum: exact in int64 for ell < 2^31 and fewer than 2^32 rows."""
+    return (weights[:, None] * stack % ell).sum(axis=0) % ell
 
 
 def subsets(indices) -> list[frozenset]:
@@ -144,7 +131,15 @@ class KeyedModule:
     """A level-k module on a monomial basis of keys (w, u), one for each Weyl
     representative w in `reps` and each u in the level-k points of the
     unipotent group attached to Phi_{w^-1}^-, the key standing for
-    u * wdot(w).  Subclasses supply act_key(g, key) -> (key', scale)."""
+    u * wdot(w).
+
+    The action is written once, on code arrays: `_images` multiplies paired
+    group elements and keys in one batched product and hands the products
+    h = g * key to the realization's `_locate(H)`, which names the key and
+    scale of each h in one stacked Bruhat-cell pass.  `act`, `act_stack`,
+    `action_table` and `action_tables` are built on it.  The per-key
+    `act_key` of each realization, through bruhat_form, is its oracle.
+    """
 
     def __init__(self, chars: Characters, theta, k: int, reps):
         self.chars = chars
@@ -157,10 +152,8 @@ class KeyedModule:
         qk = self.tower.level_size(k)
         total = sum(qk**w.length for w in reps)
         if total > KEY_BUDGET:
-            raise BudgetError(
-                "module basis exceeds the key budget: "
-                f"KEY_BUDGET={KEY_BUDGET}, requested {total} keys"
-            )
+            raise BudgetError("module basis", "key", "KEY_BUDGET", KEY_BUDGET,
+                              total, "keys")
         self.keys = [
             (w, u)
             for w in reps
@@ -171,6 +164,32 @@ class KeyedModule:
         self.one_key = (self.rs.e, self.chev.identity)
         self._key_mats: dict = {}
         self._tables: dict = {}
+        self._etas: dict = {}
+        self._build_code_tables()
+
+    def _build_code_tables(self) -> None:
+        """The key matrices as a (D, m*m) code array, the index of each code
+        in level_members(k) (-1 outside level k), and per Weyl element w
+        (in rs.elements order) the index of its key (w, 1), -1 when w is not
+        a representative, and the mixed-radix weight of each strictly upper
+        entry of u (0 off Phi_{w^-1}^-), in the order of enum_U_w."""
+        cx, tw, rs, m = self.chev, self.tower, self.rs, self.chev.m
+        self._key_codes = kern.mat_mul_codes(
+            np.array([u for _, u in self.keys], dtype=np.int64),
+            np.array([cx.wdot(w) for w, _ in self.keys], dtype=np.int64),
+            m, tw.zech, tw.Q1,
+        )
+        members = tw.level_members(self.k)
+        self._level = np.full(tw.Q1 + 1, -1, dtype=np.int64)
+        self._level[members] = np.arange(len(members))
+        self._upper = np.array([a * m + b for a, b in rs.pos_pairs])
+        self._offset = np.zeros(len(rs.elements), dtype=np.int64)
+        self._weight = np.zeros((len(rs.elements), rs.n), dtype=np.int64)
+        for e, w in enumerate(rs.elements):
+            self._offset[e] = self.key_index.get((w, cx.identity), -1)
+            pairs = rs.phi_minus_pairs(rs.inv(w))
+            for j, ab in enumerate(reversed(pairs)):
+                self._weight[e, rs.pos_pairs.index(ab)] = len(members) ** j
 
     # -- basis plumbing ----------------------------------------------------
 
@@ -194,32 +213,64 @@ class KeyedModule:
 
     # -- the module action -----------------------------------------------------
 
+    def _images(self, G, src) -> tuple:
+        """Key index and scale of g_r . key_{src_r} for the paired rows of an
+        (n, m*m) code array G and n key indices, SCAN_CHUNK pairs at a time."""
+        tw, m = self.tower, self.chev.m
+        idx = np.empty(len(src), dtype=np.int64)
+        scale = np.empty(len(src), dtype=np.int64)
+        for lo in range(0, len(src), kern.SCAN_CHUNK):
+            s = slice(lo, lo + kern.SCAN_CHUNK)
+            H = kern.mat_mul_codes(G[s], self._key_codes[src[s]], m, tw.zech, tw.Q1)
+            idx[s], scale[s] = self._locate(H)
+        return idx, scale
+
+    def _key_indices(self, widx, u) -> np.ndarray:
+        """Index of the key (w, u) of each row, w = rs.elements[widx]."""
+        digits = self._level[u[:, self._upper]]
+        if (digits < 0).any():
+            raise ValueError(f"image key has entries outside level {self.k}")
+        return self._offset[widx] + (digits * self._weight[widx]).sum(axis=1)
+
     def act(self, g: Mat, vec: dict) -> dict:
-        if not self.chev.in_level(g, self.k):
+        return self.from_dense(self.act_stack([g], self.to_dense(vec))[0])
+
+    def act_stack(self, G, dense) -> np.ndarray:
+        """g . dense for every row g of an (n, m*m) code array G of level-k
+        elements, as the (n, D) stack of images: every pair (g, key), key in
+        the support of dense, goes through one _images call."""
+        G = np.asarray(G, dtype=np.int64).reshape(-1, self.chev.m ** 2)
+        if (self._level[G] < 0).any():
             raise ValueError(f"group element has entries outside level {self.k}")
-        out: dict = {}
-        for key, c in vec.items():
-            key2, mult = self.act_key(g, key)
-            v = (out.get(key2, 0) + c * mult) % self.ell
-            if v:
-                out[key2] = v
-            else:
-                out.pop(key2, None)
+        dense = np.asarray(dense, dtype=np.int64) % self.ell
+        src = dense.nonzero()[0]
+        gi = np.repeat(np.arange(len(G)), src.size)
+        ki = np.tile(src, len(G))
+        idx, scale = self._images(G[gi], ki)
+        out = np.zeros((len(G), self.D), dtype=np.int64)
+        out[gi, idx] = dense[ki] * scale % self.ell
         return out
 
     def action_table(self, g: Mat):
         """Monomial form of g: (perm, scale) with g.key_i = scale_i * key_{perm_i}."""
         if g not in self._tables:
-            perm = np.empty(self.D, dtype=np.int64)
-            scale = np.empty(self.D, dtype=np.int64)
-            for idx, key in enumerate(self.keys):
-                key2, mult = self.act_key(g, key)
-                perm[idx] = self.key_index[key2]
-                scale[idx] = mult
-            counts = np.bincount(perm, minlength=self.D)
-            assert (counts == 1).all(), "module action is not a key bijection"
-            self._tables[g] = (perm, scale)
+            self.action_tables([g])
         return self._tables[g]
+
+    def action_tables(self, gs) -> list:
+        """action_table of every element of gs, the missing tables built in
+        one stacked pass.  The elements need not lie in level k (a central
+        element of a higher level acts), but every image key must."""
+        todo = [g for g in dict.fromkeys(gs) if g not in self._tables]
+        if todo:
+            G = np.repeat(np.array(todo, dtype=np.int64), self.D, axis=0)
+            src = np.tile(np.arange(self.D), len(todo))
+            idx, scale = (a.reshape(-1, self.D) for a in self._images(G, src))
+            for g, perm, sc in zip(todo, idx, scale):
+                counts = np.bincount(perm, minlength=self.D)
+                assert (counts == 1).all(), "module action is not a key bijection"
+                self._tables[g] = (perm, sc)
+        return [self.action_table(g) for g in gs]
 
     def apply_table(self, table, dense: np.ndarray) -> np.ndarray:
         """g applied to a dense vector, or to each row of a (k, D) stack."""
@@ -234,17 +285,19 @@ class KeyedModule:
         return self.chars.i_theta(self.theta)
 
     def eta(self, J) -> dict:
-        """Alternating sum of the wdot(w)-translates of the one key, w in W_J."""
+        """Alternating sum of the wdot(w)-translates of the one key, w in W_J;
+        one stacked action, computed once per J."""
         J = frozenset(J)
         if not J <= self.i_theta():
             raise ValueError("J must be contained in I(theta)")
-        out: dict = {}
-        one = {self.one_key: 1}
-        for w in self.rs.subgroup(J):
-            sign = self.ell - 1 if w.length % 2 else 1
-            term = vscale(sign, self.act(self.chev.wdot_in(J, w), one), self.ell)
-            out = vadd(out, term, self.ell)
-        return out
+        if J not in self._etas:
+            ws = self.rs.subgroup(J)
+            signs = np.array([self.ell - 1 if w.length % 2 else 1 for w in ws])
+            imgs = self.act_stack(
+                [self.chev.wdot_in(J, w) for w in ws], self.to_dense({self.one_key: 1})
+            )
+            self._etas[J] = self.from_dense(weighted_sum(signs, imgs, self.ell))
+        return dict(self._etas[J])
 
     def generators(self) -> list[Mat]:
         return level_generators(self.chev, self.k)
@@ -275,68 +328,23 @@ class KeyedModule:
 
 
 class ModuleContext(KeyedModule):
-    """The level-k principal series module for one character theta."""
+    """The level-k principal series module for one character theta: the
+    product h = u * wdot(w) * t * v of the Bruhat form sends the one key
+    to theta(t) times the key (w, u)."""
 
     def __init__(self, chars: Characters, theta, k: int):
         super().__init__(chars, theta, k, chars.rs.elements)
-        self._stack_tables: tuple | None = None
+        self._spins: dict = {}
+        self._straightening: dict = {}
+
+    def _locate(self, H) -> tuple:
+        widx, u, t = self.chev.bruhat_cells(H)
+        return self._key_indices(widx, u), self.chars.eval_diags(self.theta, t)
 
     def act_key(self, g: Mat, key):
-        w, u, t = self.chev.bruhat_cell(self.chev.mat_mul(g, self.key_mat(key)))
-        return (w, u), self.chars.eval_diag(self.theta, t)
-
-    def act_stack(self, G, dense) -> np.ndarray:
-        """g . dense for every row g of an (n, m*m) code array G, as the
-        (n, D) stack of images.
-
-        act_key on every pair (g, key), key in the support of dense, runs as
-        one batched product and Chevalley.bruhat_cells, SCAN_CHUNK pairs at
-        a time.  A key (w, u) has index offset(w) plus the mixed-radix
-        position of u's Phi_{w^-1}^- entries, in the order of enum_U_w."""
-        cx, tw, ell = self.chev, self.tower, self.ell
-        if self._stack_tables is None:
-            self._stack_tables = self._build_stack_tables()
-        keys, level, offset, upper, weight = self._stack_tables
-        G = np.asarray(G, dtype=np.int64).reshape(-1, cx.m * cx.m)
-        if (level[G] < 0).any():
-            raise ValueError(f"group element has entries outside level {self.k}")
-        dense = np.asarray(dense, dtype=np.int64) % ell
-        src = dense.nonzero()[0]
-        n, s = G.shape[0], src.size
-        out = np.zeros((n, self.D), dtype=np.int64)
-        for lo in range(0, n * s, kern.SCAN_CHUNK):
-            gi, ki = np.divmod(np.arange(lo, min(lo + kern.SCAN_CHUNK, n * s)), s)
-            prod = kern.mat_mul_codes(G[gi], keys[src[ki]], cx.m, tw.zech, tw.Q1)
-            widx, u, t = cx.bruhat_cells(prod)
-            idx = offset[widx] + (level[u[:, upper]] * weight[widx]).sum(axis=1)
-            scale = self.chars.eval_diags(self.theta, t)
-            out[gi, idx] = dense[src[ki]] * scale % ell
-        return out
-
-    def _build_stack_tables(self) -> tuple:
-        """The key matrices as a (D, m*m) code array, the index of each code
-        in level_members(k) (-1 outside level k), and per Weyl element its
-        first key index and the mixed-radix weight of each strictly upper
-        entry of u (0 off Phi_{w^-1}^-)."""
-        cx, tw, rs, m = self.chev, self.tower, self.rs, self.chev.m
-        keys = kern.mat_mul_codes(
-            np.array([u for _, u in self.keys], dtype=np.int64),
-            np.array([cx.wdot(w) for w, _ in self.keys], dtype=np.int64),
-            m, tw.zech, tw.Q1,
-        )
-        members = tw.level_members(self.k)
-        level = np.full(tw.Q1 + 1, -1, dtype=np.int64)
-        level[members] = np.arange(len(members))
-        upper = [a * m + b for a, b in rs.pos_pairs]
-        qk = len(members)
-        offset = np.zeros(len(rs.elements), dtype=np.int64)
-        weight = np.zeros((len(rs.elements), len(upper)), dtype=np.int64)
-        for e, w in enumerate(rs.elements):
-            offset[e] = self.key_index[(w, cx.identity)]
-            pairs = rs.phi_minus_pairs(rs.inv(w))
-            for j, (a, b) in enumerate(pairs):
-                weight[e, upper.index(a * m + b)] = qk ** (len(pairs) - 1 - j)
-        return keys, level, offset, np.array(upper), weight
+        """g . key one key at a time through bruhat_form: the oracle of _locate."""
+        bf = self.chev.bruhat_form(self.chev.mat_mul(g, self.key_mat(key)))
+        return (bf.w, bf.u), self.chars.eval_diag(self.theta, bf.t)
 
     # -- serialization -------------------------------------------------------
 
@@ -354,19 +362,28 @@ class ModuleContext(KeyedModule):
 
     # -- simple quotients -----------------------------------------------------
 
+    def _spin_eta(self, K: frozenset) -> Subspace:
+        """The spin of eta(K), built once per K and read-only, so that a walk
+        over J spins each K once and no quotient can change it."""
+        if K not in self._spins:
+            S = self.spin([self.eta(K)])
+            S.rows.setflags(write=False)
+            S.have.setflags(write=False)
+            self._spins[K] = S
+        return self._spins[K]
+
     def e_module(self, J) -> "EModule":
         J = frozenset(J)
         itheta = self.i_theta()
         if not J <= itheta:
             raise ValueError("J must be contained in I(theta)")
-        eta_J = self.eta(J)
-        M = self.spin([eta_J])
+        M = self._spin_eta(J)
         N = Subspace(self.D, self.ell)
         for S in subsets(itheta - J)[1:]:  # every K with J < K <= I(theta)
-            N = N.union(self.spin([self.eta(J | S)]))
+            N = N.union(self._spin_eta(J | S))
         if not N.leq(M):
             raise AssertionError("N(theta)_J escaped M(theta)_J")
-        C = N.residue(self.to_dense(eta_J))
+        C = N.residue(self.to_dense(self.eta(J)))
         return EModule(ctx=self, J=J, M=M, N=N, C=C)
 
     def predicted_dim(self, J) -> int:
@@ -383,19 +400,17 @@ class ModuleContext(KeyedModule):
     def check_translate_basis(self, J) -> dict:
         J = frozenset(J)
         em = self.e_module(J)
-        Z = self.rs.z_set(J, self.i_theta())
-        wJ = self.rs.longest(J)
-        eta_J = self.eta(J)
+        cx, rs = self.chev, self.rs
+        wJ = rs.longest(J)
+        gs = [
+            cx.mat_mul(u, cx.wdot(w))
+            for w in rs.z_set(J, self.i_theta())
+            for u in cx.enum_U_w(rs.mul(wJ, rs.inv(w)), self.k)
+        ]
         span = Subspace(self.D, self.ell)
-        num, independent = 0, True
-        for w in Z:
-            v = self.rs.mul(wJ, self.rs.inv(w))
-            for u in self.chev.enum_U_w(v, self.k):
-                g = self.chev.mat_mul(u, self.chev.wdot(w))
-                img = em.project(self.to_dense(self.act(g, eta_J)))
-                if span.insert(img) < 0:
-                    independent = False
-                num += 1
+        imgs = em.project(self.act_stack(gs, self.to_dense(self.eta(J))))
+        independent = min([span.insert(img) for img in imgs], default=0) >= 0
+        num = len(gs)
         predicted = self.predicted_dim(J)
         report = {
             "theta": list(self.theta),
@@ -413,6 +428,21 @@ class ModuleContext(KeyedModule):
         )
         return report
 
+    def _straightening_images(self, J: frozenset) -> dict:
+        """(wdot(w), sdot(i) eps_i(x) wdot(w), eps_i(f) wdot(w)) . eta(J) of
+        every applicable (i, w, x) of J, f from rank1_constants(i, x): one
+        stacked action per J."""
+        if J not in self._straightening:
+            cx, gs = self.chev, []
+            inst = [(i, w, x) for _, i, w, x in straightening_instances(self, [J])]
+            for i, w, x in inst:
+                wd, f = cx.wdot(w), cx.rank1_constants(i, x)[0]
+                gs += [wd, cx.mat_prod([cx.sdot(i), cx.eps_simple(i, x), wd]),
+                       cx.mat_mul(cx.eps_simple(i, f), wd)]
+            imgs = self.act_stack(gs, self.to_dense(self.eta(J)))
+            self._straightening[J] = dict(zip(inst, imgs.reshape(-1, 3, self.D)))
+        return self._straightening[J]
+
     def verify_straightening(self, J, i: int, w: WeylElt, x) -> dict:
         J = frozenset(J)
         tw, cx = self.tower, self.chev
@@ -426,11 +456,9 @@ class ModuleContext(KeyedModule):
         v = self.rs.mul(wJ, self.rs.inv(w))
         if (i - 1, i) not in set(self.rs.phi_minus_pairs(v)):
             raise ValueError("applicability requires alpha_i in Phi_{w_J w^-1}^-")
-        eta_J = self.eta(J)
-        w_eta = self.act(cx.wdot(w), eta_J)
-        lhs = self.act(cx.sdot(i), self.act(cx.eps_simple(i, x), w_eta))
         f, h, g2 = cx.rank1_constants(i, x)
-        f_w_eta = self.act(cx.eps_simple(i, f), w_eta)
+        wd = cx.wdot(w)
+        w_eta, lhs, f_w_eta = self._straightening_images(J)[(i, w, x)]
         si_w = self.rs.mul(self.rs.s(i), w)
         report = {
             "theta": list(self.theta),
@@ -443,23 +471,21 @@ class ModuleContext(KeyedModule):
         if si_w.length < w.length:
             # shorter case: scalar twist of the f-translate
             t_mid = cx.mat_prod([cx.sdot(i), cx.coroot(i, h), cx.sdot(i)])
-            wd = cx.wdot(w)
             conj_fwd = cx.mat_prod([wd, t_mid, cx.mat_inv(wd)])
             conj_bwd = cx.mat_prod([cx.mat_inv(wd), t_mid, wd])
             scal_fwd = self.chars.eval(self.theta, conj_fwd)
             scal_bwd = self.chars.eval(self.theta, conj_bwd)
             report["case"] = "i"
-            report["matches_fwd"] = lhs == vscale(scal_fwd, f_w_eta, self.ell)
-            report["matches_bwd"] = lhs == vscale(scal_bwd, f_w_eta, self.ell)
+            report["matches_fwd"] = bool((lhs == scal_fwd * f_w_eta % self.ell).all())
+            report["matches_bwd"] = bool((lhs == scal_bwd * f_w_eta % self.ell).all())
             report["ok"] = bool(report["matches_fwd"] or report["matches_bwd"])
         else:
             # longer case; the applicability condition forces the descent of w w_J
             assert (
                 self.rs.mul(si_w, wJ).length < self.rs.mul(w, wJ).length
             ), "applicability must force s_i w w_J below w w_J"
-            rhs = vsub(f_w_eta, w_eta, self.ell)
             report["case"] = "ii"
-            report["matches"] = lhs == rhs
+            report["matches"] = bool((lhs == (f_w_eta - w_eta) % self.ell).all())
             report["ok"] = bool(report["matches"])
         return report
 
@@ -523,8 +549,10 @@ def spin_closure(
 ) -> Subspace:
     """Smallest subspace containing seeds and stable under the generators.
 
-    `mod` provides D, ell, generators(), action_table(), apply_table(),
+    `mod` provides D, ell, generators(), action_tables(), apply_table(),
     to_dense(), random_group_elt(); seeds are sparse dicts or dense arrays.
+    The tables of the generators are built in one stacked pass, and so are
+    those of the stability samples.
     `gens` replaces mod.generators(), and `project`, a residue map of a
     quotient, is applied to every image, so that the span is the spin of the
     seeds inside that quotient.  `verify` samples random level-k elements of
@@ -542,10 +570,7 @@ def spin_closure(
         piv = S.insert(dense)
         if piv >= 0:
             queue.append(S.rows[piv].copy())
-    tables = [
-        mod.action_table(g)
-        for g in (mod.generators() if gens is None else gens)
-    ]
+    tables = mod.action_tables(mod.generators() if gens is None else gens)
     while queue:
         vec = queue.pop()
         for table in tables:
@@ -555,8 +580,8 @@ def spin_closure(
     if verify:
         rng = random.Random(_STABILITY_SEED)
         basis = S.basis_matrix()
-        for _ in range(STABILITY_SAMPLES):
-            table = mod.action_table(mod.random_group_elt(rng))
+        samples = [mod.random_group_elt(rng) for _ in range(STABILITY_SAMPLES)]
+        for table in mod.action_tables(samples):
             if not S.contains(image(table, basis)):
                 raise AssertionError("spin closure is not group stable")
     return S
@@ -574,32 +599,47 @@ class InducedContext(KeyedModule):
         self.J = J
         self.Jp = itheta - J
         super().__init__(chars, theta, k, chars.rs.min_coset_reps(self.Jp))
-        self._min_rep_cache: dict = {}
+        rs = self.rs
+        index = {w: e for e, w in enumerate(rs.elements)}
+        sub = rs.subgroup(self.Jp)
+        # rs.elements index of the minimal representative of each coset w W_{J'}
+        self._min_reps = np.array([
+            index[min((rs.mul(w, rs.inv(y)) for y in sub), key=lambda z: z.length)]
+            for w in rs.elements
+        ])
+        self._inverse_keys = np.array(
+            [self.chev.mat_inv(tuple(row)) for row in self._key_codes.tolist()],
+            dtype=np.int64,
+        )
 
-    def _min_rep(self, w: WeylElt) -> WeylElt:
-        if w.perm not in self._min_rep_cache:
-            best = min(
-                (self.rs.mul(w, self.rs.inv(y)) for y in self.rs.subgroup(self.Jp)),
-                key=lambda z: z.length,
-            )
-            self._min_rep_cache[w.perm] = best
-        return self._min_rep_cache[w.perm]
+    def _locate(self, H) -> tuple:
+        """h = key' * p with key' the coset key of h P_{J'}, scale theta(p):
+        the Bruhat cell of h names the coset, peeling its u on
+        Phi_{x^-1}^- names the key, and p = key'^-1 * h."""
+        cx, tw = self.chev, self.tower
+        widx, u, _ = cx.bruhat_cells(H)
+        xidx = self._min_reps[widx]
+        idx = self._key_indices(xidx, cx.peel_unipotents(u, xidx)[0])
+        P = kern.mat_mul_codes(self._inverse_keys[idx], H, cx.m, tw.zech, tw.Q1)
+        return idx, self.chars.eval_parabolic(self.theta, self.Jp, P)
 
     def coset_key(self, g: Mat):
-        """Canonical basis key of the coset g P_{J'}."""
-        cx, m = self.chev, self.chev.m
-        w, u, _ = cx.bruhat_cell(g)
-        x = self._min_rep(w)
-        R = [list(u[i * m : (i + 1) * m]) for i in range(m)]
-        return (x, cx.peel_unipotent(R, self.rs.inv(x)))
+        """Canonical basis key of the coset g P_{J'}, through bruhat_form and
+        peel_unipotent: the one-element oracle of _locate."""
+        cx, rs, m = self.chev, self.rs, self.chev.m
+        bf = cx.bruhat_form(g)
+        x = rs.elements[self._min_reps[rs.elements.index(bf.w)]]
+        R = [list(bf.u[i * m : (i + 1) * m]) for i in range(m)]
+        return (x, cx.peel_unipotent(R, rs.inv(x)))
 
     def act_key(self, g: Mat, key):
+        """g . key one key at a time: the oracle of _locate."""
         cx = self.chev
         gk = cx.mat_mul(g, self.key_mat(key))
         key2 = self.coset_key(gk)
-        p = cx.mat_mul(cx.mat_inv(self.key_mat(key2)), gk)
-        coeff = self.chars.eval_parabolic(self.theta, self.Jp, p)
-        return key2, coeff
+        bf = cx.bruhat_form(cx.mat_mul(cx.mat_inv(self.key_mat(key2)), gk))
+        assert set(bf.w.word) <= self.Jp, "key^-1 g key outside P_J'"
+        return key2, self.chars.eval_diag(self.theta, bf.t)
 
 
 def check_socle(ctx: ModuleContext, J) -> dict:

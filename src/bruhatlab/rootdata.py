@@ -25,11 +25,6 @@ class WeylElt:
         return "e" if not self.word else "*".join(f"s{i}" for i in self.word)
 
 
-def _inversions(perm) -> int:
-    n = len(perm)
-    return sum(1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b])
-
-
 class RootSystem:
     """Root system of type A_r with a fully enumerated Weyl group."""
 

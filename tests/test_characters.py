@@ -102,22 +102,35 @@ def test_eval_diags_matches_eval_diag():
 
 def test_eval_parabolic():
     ch = make(3, 1, 1, 1)
+    cx = ch.chev
     theta = (0,)
     # J' = {1}: P = G for SL_2; trivial character evaluates to 1 everywhere
-    for g in ch.chev.enum_G(1):
-        assert ch.eval_parabolic(theta, {1}, g) == 1
+    assert (ch.eval_parabolic(theta, {1}, np.array(cx.enum_G(1))) == 1).all()
     # unipotents always evaluate to 1
     theta2 = (1,)
-    for u in ch.chev.enum_U(1):
-        assert ch.eval_parabolic(theta2, set(), u) == 1
+    assert (ch.eval_parabolic(theta2, set(), np.array(cx.enum_U(1))) == 1).all()
     # J' = empty: agrees with eval_B on B
-    for b in ch.chev.enum_B(1):
-        assert ch.eval_parabolic(theta2, set(), b) == ch.eval_B(theta2, b)
-    # errors: J' not inside I(theta); element outside P_J'
+    B = cx.enum_B(1)
+    got = ch.eval_parabolic(theta2, set(), np.array(B)).tolist()
+    assert got == [ch.eval_B(theta2, b) for b in B]
+    # errors: J' not inside I(theta); one element of the stack outside P_J'
     with pytest.raises(ValueError):
-        ch.eval_parabolic((1,), {1}, ch.chev.identity)
+        ch.eval_parabolic((1,), {1}, np.array([cx.identity]))
     with pytest.raises(ValueError):
-        ch.eval_parabolic((0,), set(), ch.chev.sdot(1))
+        ch.eval_parabolic((0,), set(), np.array([cx.identity, cx.sdot(1)]))
+
+
+def test_eval_parabolic_matches_per_element():
+    # the stack against theta on the torus part of bruhat_form, one element
+    # at a time, on P_{2} of SL_3(F_4), where theta is not trivial
+    ch = make(2, 1, 2, 2)
+    theta = (1, 0)
+    assert ch.i_theta(theta) == {2}
+    P = ch.chev.enum_P({2}, 2)[::7]
+    got = ch.eval_parabolic(theta, {2}, np.array(P)).tolist()
+    want = [ch.eval_diag(theta, ch.chev.bruhat_form(p).t) for p in P]
+    assert got == want
+    assert set(want) != {1}
 
 
 def test_eval_parabolic_is_hom():
@@ -125,7 +138,7 @@ def test_eval_parabolic_is_hom():
     ch = make(2, 1, 1, 2)
     theta = (0, 0)
     P = ch.chev.enum_P({1}, 1)
-    vals = {g: ch.eval_parabolic(theta, {1}, g) for g in P}
+    vals = dict(zip(P, ch.eval_parabolic(theta, {1}, np.array(P)).tolist()))
     for g in P[:40]:
         for h in P[:40]:
             gh = ch.chev.mat_mul(g, h)
@@ -134,7 +147,7 @@ def test_eval_parabolic_is_hom():
     ch2 = make(3, 1, 1, 1)
     B = ch2.chev.enum_B(1)
     theta2 = (1,)
-    vals2 = {b: ch2.eval_parabolic(theta2, set(), b) for b in B}
+    vals2 = dict(zip(B, ch2.eval_parabolic(theta2, set(), np.array(B)).tolist()))
     for g in B:
         for h in B:
             gh = ch2.chev.mat_mul(g, h)

@@ -114,7 +114,8 @@ def test_bruhat_identity_and_sdot():
 def test_bruhat_round_trip_exhaustive():
     for (p, r) in [(2, 1), (3, 1), (2, 2), (3, 2)]:
         cx = ctx(p, 1, 2, r)
-        for g in cx.enum_G(1):
+        G = cx.enum_G(1)
+        for g, cell in zip(G, _cells_by_row(cx, G)):
             bf = cx.bruhat_form(g)
             assert cx.reassemble(bf) == g
             # u lies in U_{w^-1}: support inside phi_minus(w^-1)
@@ -125,7 +126,7 @@ def test_bruhat_round_trip_exhaustive():
                         assert (a, b) in allowed
             assert cx.is_unitriangular(bf.u)
             assert cx.is_unitriangular(bf.v)
-            assert cx.bruhat_cell(g) == (bf.w, bf.u, bf.t)
+            assert cell == (bf.w, bf.u, bf.t)
 
 
 def test_bruhat_round_trip_random_level2():
@@ -133,7 +134,7 @@ def test_bruhat_round_trip_random_level2():
     tw = cx.tower
     rng = random.Random(20260818)
     elts = tw.level_members(2)
-    count = 0
+    count, seen = 0, []
     while count < 10_000:
         mat = [rng.choice(elts) for _ in range(9)]
         g = tuple(mat)
@@ -146,8 +147,9 @@ def test_bruhat_round_trip_random_level2():
         )
         bf = cx.bruhat_form(g)
         assert cx.reassemble(bf) == g
-        assert cx.bruhat_cell(g) == (bf.w, bf.u, bf.t)
+        seen.append((g, (bf.w, bf.u, bf.t)))
         count += 1
+    assert _cells_by_row(cx, [g for g, _ in seen]) == [form for _, form in seen]
 
 
 def _det_one(cx, entries):
@@ -177,9 +179,10 @@ def det_one_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(det_one_matrices())
 def test_bruhat_cell_matches_form_property(case):
+    # one element through bruhat_cells against the bruhat_form oracle
     cx, g = case
     bf = cx.bruhat_form(g)
-    w, u, t = cx.bruhat_cell(g)
+    [(w, u, t)] = _cells_by_row(cx, [g])
     assert (w, u, t) == (bf.w, bf.u, bf.t)
     assert cx.mat_prod([u, cx.wdot(w), cx.torus(t), bf.v]) == g
 
@@ -188,14 +191,15 @@ def test_bruhat_cell_pivot_pattern_guard():
     cx = ctx(3, 1, 2, 2)
     s1 = cx.rs.s(1)
     g = cx.sdot(1)
-    assert cx.bruhat_cell(g)[0] == s1
-    # swap the nonzero columns of the first two rows of the cached wdot^-1
-    rows = list(cx._wdot_inv_cache[s1.perm])
+    # a second group finds the cell; cx builds its tables after the change below
+    assert ctx(3, 1, 2, 2).bruhat_cells(np.array([g]))[0].tolist() == [
+        cx.rs.elements.index(s1)
+    ]
+    # swap the nonzero columns of the first two rows of the cached wdot^-1,
+    # which bruhat_cells reads when it builds its tables
+    rows = list(cx._wdot_inv_rows(s1))
     rows[0], rows[1] = (rows[1][0], rows[0][1]), (rows[0][0], rows[1][1])
     cx._wdot_inv_cache[s1.perm] = tuple(rows)
-    with pytest.raises(AssertionError, match="pivot pattern mismatch"):
-        cx.bruhat_cell(g)
-    # the batched twin reads the same cache when it builds its tables
     with pytest.raises(AssertionError, match="pivot pattern mismatch"):
         cx.bruhat_cells(np.array([cx.identity, g]))
 
@@ -209,11 +213,16 @@ def _cells_by_row(cx, G) -> list:
     ]
 
 
+def _forms(cx, G) -> list:
+    """(w, u, t) of bruhat_form, the per-element oracle, for each element."""
+    return [(bf.w, bf.u, bf.t) for bf in map(cx.bruhat_form, G)]
+
+
 def test_bruhat_cells_match_bruhat_cell_on_level_one():
     for (p, r) in [(3, 1), (2, 2)]:
         cx = ctx(p, 1, 2, r)
         G = cx.enum_G(1)
-        assert _cells_by_row(cx, G) == [cx.bruhat_cell(g) for g in G]
+        assert _cells_by_row(cx, G) == _forms(cx, G)
 
 
 @st.composite
@@ -233,7 +242,7 @@ def det_one_batches(draw):
 @given(det_one_batches())
 def test_bruhat_cells_match_bruhat_cell_property(case):
     cx, G = case
-    assert _cells_by_row(cx, G) == [cx.bruhat_cell(g) for g in G]
+    assert _cells_by_row(cx, G) == _forms(cx, G)
 
 
 def test_peel_unipotent_splits_on_phi_minus():
@@ -253,14 +262,27 @@ def test_peel_unipotent_splits_on_phi_minus():
                 assert held[a * m + b] == zero
 
 
+def test_peel_unipotents_match_peel_unipotent():
+    # every Weyl element against the scalar peel, mixed in one batch
+    cx = ctx(3, 1, 2, 3)
+    m, ws = cx.m, cx.rs.elements
+    U = cx.enum_U(1)[::13]
+    widx = np.repeat(np.arange(len(ws)), len(U))
+    u, R = cx.peel_unipotents(np.array(U * len(ws)), widx)
+    for e, g, ur, Rr in zip(widx, U * len(ws), u.tolist(), R.tolist()):
+        rows = [list(g[i * m : (i + 1) * m]) for i in range(m)]
+        assert tuple(ur) == cx.peel_unipotent(rows, cx.rs.inv(ws[e]))
+        assert tuple(Rr) == tuple(c for row in rows for c in row)
+
+
 def test_codes_are_python_ints():
     cx = ctx(11, 1, 2, 1)
     G = cx.enum_G(1)
     assert len(G) == 1320
     for g in G:
         assert all(type(c) is int for c in g)
-        w, u, t = cx.bruhat_cell(g)
-        assert all(type(c) is int for c in u + t)
+        bf = cx.bruhat_form(g)
+        assert all(type(c) is int for c in bf.u + bf.t + bf.v)
 
 
 def test_cell_sizes():

@@ -256,6 +256,24 @@ def test_failed_verification_exits_one(tmp_path, monkeypatch):
     assert rep["first_failure"] == {"theta": [0], "J": [], "ok": False}
 
 
+@pytest.mark.parametrize("broken", ["keys", "scales"])
+def test_verify_action_catches_a_broken_action(tmp_path, monkeypatch, broken):
+    # a realization whose images are shifted by one key, or scaled twice,
+    # is not an action: g . (h . v) and (g h) . v then differ
+    real = modules.ModuleContext._locate
+
+    def wrong(self, H):
+        idx, scale = real(self, H)
+        if broken == "keys":
+            return (idx + 1) % self.D, scale
+        return idx, 2 * scale % self.ell
+
+    monkeypatch.setattr(modules.ModuleContext, "_locate", wrong)
+    code, out = run(tmp_path, "verify", "action", "group=A1", "p=3", "samples=20")
+    assert code == 1
+    assert read_json(out, "verify_action")["ok"] is False
+
+
 def test_ext_split_report_digests(tmp_path):
     # the README split battery: the reports are pinned byte for byte
     code, out = run(
@@ -301,7 +319,7 @@ def test_ext_split_failure_reports_witness(tmp_path, monkeypatch):
         )
 
 
-def test_ell_override(tmp_path):
+def test_ell_override(tmp_path, capsys):
     # 97 = 1 + 12 * 8 also carries eighth roots of unity
     code, out = run(tmp_path, "dims", "group=A1", "p=3", "theta=1", "ell=97")
     assert code == 0
@@ -311,3 +329,52 @@ def test_ell_override(tmp_path):
     # 11 is prime, but 8 = 3^2 - 1 does not divide 10
     code, _ = run(tmp_path, "dims", "group=A1", "p=3", "N=2", "ell=11")
     assert code == 2
+    capsys.readouterr()
+    # a prime with the roots of unity, but ell^2 (D + 1) overflows int64
+    code, _ = run(tmp_path, "dims", "group=A1", "p=3", "N=1", "k=1", "ell=2147483659")
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: residues overflow")
+
+
+def test_budget_errors_carry_their_fields(monkeypatch):
+    # every budget, forced low, raises with its name, limit, requested size
+    # and unit as fields, and its one message is built from them
+    from bruhatlab import chevalley, fieldtower
+    from bruhatlab.characters import Characters
+    from bruhatlab.chevalley import Chevalley
+    from bruhatlab.rootdata import build_A
+
+    ch = Characters(Chevalley(fieldtower.build_tower(3, 1, 2), build_A(1)))
+    ctx = extlab.ExtContext(ch, (1,), (1,), frozenset(), frozenset(), 1)
+    ctx.omega_set()
+    cases = [
+        (fieldtower, "ENUM_BUDGET", 80, lambda: fieldtower.FieldTower(3, 2, 2),
+         ("field tower", "enumeration", 81, "elements")),
+        (modules, "KEY_BUDGET", 3, lambda: modules.ModuleContext(ch, (0,), 1),
+         ("module basis", "key", 4, "keys")),
+        (chevalley, "GROUP_BUDGET", 23, lambda: ch.chev.enum_G(1),
+         ("G_1 enumeration", "group", 24, "elements")),
+        (chevalley, "GROUP_BUDGET", 5, lambda: ch.chev.enum_P(set(), 1),
+         ("parabolic enumeration", "group", 6, "elements")),
+        (extlab, "UNIPOTENT_BUDGET", 8,
+         lambda: extlab.ExtContext(ch, (1,), (1,), frozenset(), frozenset(), 1),
+         ("U_2", "unipotent", 9, "elements")),
+        (extlab, "SCAN_BUDGET", 10, ctx.gamma_set,
+         ("gamma scan", "membership", 132, "conjugations")),
+        (extlab, "SCAN_BUDGET", 10, lambda: ctx.claim_club(ctx.U_list[-1]),
+         ("club scan", "membership", 44, "conjugations")),
+        (cli, "BLOCK_GRID_BUDGET", 7,
+         lambda: cli.cmd_blocks(RunConfig({"group": "A1", "p": 3})),
+         ("ambient character grid", "block", 8, "characters")),
+    ]
+    for owner, name, limit, trigger, (subject, kind, requested, unit) in cases:
+        with monkeypatch.context() as patch, pytest.raises(extlab.BudgetError) as info:
+            patch.setattr(owner, name, limit)
+            trigger()
+        exc = info.value
+        fields = (exc.subject, exc.kind, exc.name, exc.limit, exc.requested, exc.unit)
+        assert fields == (subject, kind, name, limit, requested, unit)
+        assert str(exc) == (
+            f"{subject} exceeds the {kind} budget: {name}={limit}, "
+            f"requested {requested} {unit}"
+        )

@@ -304,6 +304,7 @@ def test_h_sets_contain_their_element():
     ctx = ext_for(3, 1, 2, 1, (1,), (1,), 1)
     for u in ctx.U_list:
         assert u in ctx.h_set(u)
+        assert ctx.h_set(u) is ctx.h_set(u)  # built once per u
 
 
 def test_omega_avoids_lower_level():
@@ -351,19 +352,23 @@ def test_xi_eigen_property_exhaustive():
 
 
 def _xi_oracle(ctx, u) -> tuple:
-    """(xi vector, eigen_ok) by the per-p class_of sum and the per-key
-    module action, one group element at a time."""
+    """(xi vector, eigen_ok) by the per-p sum and the per-key module action
+    (act_key, through bruhat_form), one group element at a time."""
     cx, ell, mc = ctx.chev, ctx.ell, ctx.mu_ctx
 
     def act_class(g, dense):
-        return ctx.mu_E.project(mc.to_dense(mc.act(g, mc.from_dense(dense))))
+        out = np.zeros(mc.D, dtype=np.int64)
+        for i in np.nonzero(dense)[0]:
+            key2, mult = mc.act_key(g, mc.keys[i])
+            out[mc.key_index[key2]] = dense[i] * mult % ell
+        return ctx.mu_E.project(out)
 
     eta = np.zeros(mc.D, dtype=np.int64)
     terms = []
     for p in cx.enum_P(ctx.Jp, ctx.i):
-        value = ctx.chars.eval_parabolic(ctx.lam, ctx.Jp, p)
+        value = ctx.chars.eval_diag(ctx.lam, cx.bruhat_form(p).t)
         terms.append((p, value))
-        vec = ctx.class_of(cx.mat_prod([p, u, ctx.w0dot]))
+        vec = act_class(cx.mat_prod([p, u, ctx.w0dot]), ctx.mu_E.C)
         eta = (eta + pow(value, -1, ell) * vec) % ell
     eigen_ok = all(
         np.array_equal(act_class(p, eta), value * eta % ell) for p, value in terms
@@ -529,8 +534,8 @@ def test_projected_spin_spans_level_i_classes(p, rank, lam, dim):
         project=em.project, verify=False,
     )
     classes = Subspace(ctx.mu_ctx.D, ctx.ell)
-    for g in ctx.chev.enum_G(1):
-        classes.insert(ctx.class_of(g))
+    for row in ctx.class_of(np.array(ctx.chev.enum_G(1))):
+        classes.insert(row)
     assert spun.dim == classes.dim == dim
     assert spun.leq(classes) and classes.leq(spun)
 

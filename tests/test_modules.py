@@ -129,18 +129,21 @@ def test_action_is_monomial_bijection():
     "p, r, theta, k", [(3, 1, (1,), 1), (3, 1, (1,), 2), (2, 2, (1, 0), 2)]
 )
 def test_act_stack_matches_per_key_action(p, r, theta, k, monkeypatch):
-    # act_key, one key at a time, is the oracle of the stacked action; the
-    # characters are not 1 on the level-k torus, so scales are tested too
-    ctx = ctx_for(p, 1, 2, r, theta, k)
+    # act_key, one key at a time through bruhat_form, is the oracle of the
+    # stacked action and tables; the characters are not 1 on the level-k
+    # torus, so scales are tested too
+    ctx = mod.ModuleContext(chars_for(p, 1, 2, r), theta, k)
     rng = random.Random(31)
     G = ctx.generators() + [ctx.random_group_elt(rng) for _ in range(10)]
     dense = np.array([rng.randrange(ctx.ell) for _ in range(ctx.D)])
     dense[rng.randrange(ctx.D)] = 0
     want = np.zeros((len(G), ctx.D), dtype=np.int64)
     scales = set()
-    for row, g in enumerate(G):
-        for i, key in enumerate(ctx.keys):
-            key2, mult = ctx.act_key(g, key)
+    for row, (g, (perm, scale)) in enumerate(zip(G, ctx.action_tables(G))):
+        oracle = [ctx.act_key(g, key) for key in ctx.keys]
+        assert perm.tolist() == [ctx.key_index[key2] for key2, _ in oracle]
+        assert scale.tolist() == [mult for _, mult in oracle]
+        for i, (key2, mult) in enumerate(oracle):
             want[row, ctx.key_index[key2]] = dense[i] * mult % ctx.ell
             scales.add(mult)
     assert scales != {1}
@@ -151,13 +154,33 @@ def test_act_stack_matches_per_key_action(p, r, theta, k, monkeypatch):
     assert ctx.act_stack(np.zeros((0, ctx.chev.m**2)), dense).shape == (0, ctx.D)
 
 
+def test_tables_of_a_higher_level_central_element():
+    # the splitter acts with its central witness c0, a level-2 element, on
+    # level-1 modules: a table checks the level of its image keys, not of
+    # the element, while act and act_stack keep refusing it
+    ch = chars_for(2, 1, 2, 2)
+    c0 = next(z for z in ch.chev.center(2) if not ch.chev.in_level(z, 1))
+    ctx = mod.ModuleContext(ch, (1, 0), 1)
+    perm, scale = ctx.action_table(c0)
+    assert perm.tolist() == list(range(ctx.D))
+    assert set(scale.tolist()) == {ch.eval(ctx.theta, c0)} != {1}
+    with pytest.raises(ValueError):
+        ctx.act(c0, one_vec(ctx))
+    with pytest.raises(ValueError):
+        ctx.act_stack(np.array([c0]), ctx.to_dense(one_vec(ctx)))
+    # a noncentral element outside level 1 moves some key outside it
+    outside = next(c for c in ch.tower.level_members(2) if not ch.tower.in_level(c, 1))
+    with pytest.raises(ValueError, match="image key"):
+        ctx.action_tables([ctx.chev.identity, ctx.chev.eps_simple(1, outside)])
+
+
 def test_center_acts_by_scalar():
     ctx = ctx_for(3, 1, 2, 1, (1,), 2)  # SL_2(F_9), theta nontrivial on -1
     rng = random.Random(7)
     vec = {rng.choice(ctx.keys): 1, rng.choice(ctx.keys): 5}
     for z in ctx.chev.center(2):
-        expected = mod.vscale(ctx.chars.eval(ctx.theta, z), vec, ctx.ell)
-        assert ctx.act(z, vec) == expected
+        value = ctx.chars.eval(ctx.theta, z)
+        assert ctx.act(z, vec) == {key: c * value % ctx.ell for key, c in vec.items()}
 
 
 # -- alternating generators ---------------------------------------------------
@@ -184,12 +207,11 @@ def test_eta_alternate_reduced_words_agree():
         {(): 1, (1,): -1, (2,): -1, (1, 2): 1, (2, 1): 1, (1, 2, 1): -1},
         {(): 1, (1,): -1, (2,): -1, (1, 2): 1, (2, 1): 1, (2, 1, 2): -1},
     ]:
-        acc: dict = {}
+        acc = np.zeros(ctx.D, dtype=np.int64)
         for word, sign in words.items():
             g = cx.mat_prod([cx.sdot(i) for i in word]) if word else cx.identity
-            term = ctx.act(g, one_vec(ctx))
-            acc = mod.vadd(acc, mod.vscale(sign % ctx.ell, term, ctx.ell), ctx.ell)
-        assert acc == eta
+            acc = (acc + sign * ctx.to_dense(ctx.act(g, one_vec(ctx)))) % ctx.ell
+        assert ctx.from_dense(acc) == eta
 
 
 def test_simple_reflections_negate_eta():
@@ -202,7 +224,7 @@ def test_simple_reflections_negate_eta():
         eta = ctx.eta(J)
         for j in sorted(J):
             flipped = ctx.act(ctx.chev.sdot(j), eta)
-            assert flipped == mod.vscale(ctx.ell - 1, eta, ctx.ell)
+            assert flipped == {key: ctx.ell - c for key, c in eta.items()}
 
 
 # -- spin closures -----------------------------------------------------------
@@ -270,6 +292,27 @@ def test_quotient_structure_invariants():
     reg = mod.ModuleContext(chars_for(2, 1, 2, 2), (1, 1), 1)
     em = reg.e_module(frozenset())
     assert em.N.dim == 0 and em.dim == em.M.dim
+
+
+def test_e_module_spins_each_K_once(monkeypatch):
+    # the J walk of one context spins eta(K) once per K, and the quotients
+    # cannot change the cached spins they read
+    ctx = mod.ModuleContext(chars_for(2, 1, 2, 2), (0, 0), 1)
+    spun, real_spin = [], mod.spin_closure
+
+    def counting(m, seeds, **kwargs):
+        spun.append(1)
+        return real_spin(m, seeds, **kwargs)
+
+    monkeypatch.setattr(mod, "spin_closure", counting)
+    Js = mod.subsets(ctx.i_theta())
+    assert [ctx.e_module(J).dim for J in Js] == [1, 6, 6, 8]
+    assert len(spun) == len(Js)
+    em = ctx.e_module(ctx.i_theta())
+    with pytest.raises(ValueError, match="read-only"):
+        em.M.insert(ctx.to_dense(one_vec(ctx)))
+    assert [ctx.e_module(J).dim for J in Js] == [1, 6, 6, 8]
+    assert len(spun) == len(Js)
 
 
 def test_quotients_probe_simple():
@@ -401,6 +444,26 @@ def test_induced_action_cocycle():
         k_direct, c_direct = nb.act_key(nb.chev.mat_mul(g1, g2), key)
         assert k12 == k_direct
         assert (c2 * c12) % nb.ell == c_direct
+
+
+@pytest.mark.parametrize(
+    "p, r, theta, J, k, trivial",
+    [(2, 2, (0, 0), {1}, 1, True), (2, 2, (1, 0), set(), 2, False)],
+)
+def test_induced_tables_match_per_key_action(p, r, theta, J, k, trivial):
+    # act_key, through coset_key and bruhat_form, is the oracle of the
+    # stacked induced action; J' = I(theta) - J is not empty here
+    nb = mod.InducedContext(chars_for(p, 1, 2, r), theta, J, k)
+    assert nb.Jp
+    rng = random.Random(37)
+    elts = nb.generators() + [nb.random_group_elt(rng) for _ in range(6)]
+    scales = set()
+    for g, (perm, scale) in zip(elts, nb.action_tables(elts)):
+        oracle = [nb.act_key(g, key) for key in nb.keys]
+        assert perm.tolist() == [nb.key_index[key2] for key2, _ in oracle]
+        assert scale.tolist() == [c for _, c in oracle]
+        scales.update(scale.tolist())
+    assert (scales == {1}) == trivial
 
 
 def test_induced_full_flag_matches_module_basis():
