@@ -107,8 +107,14 @@ def scan_conj_upper(
     zech: np.ndarray,
     Q1: int,
     start: int = 0,
+    *,
+    permuted: bool = False,
 ) -> int:
     """First index idx >= start with P @ G[idx] @ Q upper-triangular, else -1.
+
+    With permuted=True the test is P @ G[idx] @ Q in B.N, upper-triangular
+    after some column permutation; for an invertible matrix that permutation,
+    if any, sorts the columns by the row of their lowest nonzero entry.
 
     G is an (nG, m*m) int64 array of code matrices, multiplied out
     SCAN_CHUNK rows at a time so an early hit skips the rest.
@@ -117,6 +123,11 @@ def scan_conj_upper(
     for lo in range(start, G.shape[0], SCAN_CHUNK):
         T = mat_mul_codes(P, G[lo:lo + SCAN_CHUNK], m, zech, Q1)
         T = mat_mul_codes(T, Q, m, zech, Q1)
+        if permuted:
+            M = T.reshape(-1, m, m)
+            last = m - 1 - np.argmax(M[:, ::-1] != Q1, axis=1)
+            order = np.argsort(last, axis=1)[:, None, :]
+            T = np.take_along_axis(M, order, axis=2).reshape(-1, m * m)
         hits = np.flatnonzero((T[:, lower] == Q1).all(axis=1))
         if hits.size:
             return lo + int(hits[0])

@@ -139,7 +139,6 @@ class ExtContext:
         self._omega: list | None = None
         self._gamma: list | None = None
         self._g_rest: np.ndarray | None = None
-        self._g_rest_count = 0
         self._parab_terms: tuple | None = None
 
     # -- elementary moves ---------------------------------------------------
@@ -196,13 +195,16 @@ class ExtContext:
         """{x t u t^-1 : t in T_i, x in U_i}, built once per u."""
         if u not in self._h_sets:
             self.require_u(u)
-            cx = self.chev
-            out = set()
-            for t in cx.enum_T(self.i):
-                conj = cx.mat_prod([t, u, cx.mat_inv(t)])
-                for x in cx.enum_U(self.i):
-                    out.add(cx.mat_mul(x, conj))
-            self._h_sets[u] = frozenset(out)
+            cx, tw, m = self.chev, self.tower, self.chev.m
+            T = np.array(cx.enum_T(self.i), dtype=np.int64)
+            # a torus element's inverse negates the codes on its diagonal
+            T_inv = np.where(T == tw.Q1, tw.Q1, -T % tw.Q1)
+            conj = kern.mat_mul_codes(
+                kern.mat_mul_codes(T, u, m, tw.zech, tw.Q1), T_inv, m, tw.zech, tw.Q1
+            )
+            X = np.array(cx.enum_U(self.i), dtype=np.int64)[:, None]
+            H = kern.mat_mul_codes(X, conj, m, tw.zech, tw.Q1).reshape(-1, m * m)
+            self._h_sets[u] = frozenset(map(tuple, H.tolist()))
         return self._h_sets[u]
 
     def omega_set(self) -> list:
@@ -221,12 +223,9 @@ class ExtContext:
         classes: dict = {}
         for u in self.U_list:
             classes.setdefault(self.h_set(u), []).append(u)
-        reps = list(classes)
-        ok = True
-        for a in range(len(reps)):
-            for b in range(a + 1, len(reps)):
-                if reps[a] & reps[b]:
-                    ok = False
+        # the classes are pairwise disjoint exactly when their sizes add up
+        # to the size of their union
+        disjoint = sum(map(len, classes)) == len(frozenset().union(*classes))
         cover = sum(len(v) for v in classes.values()) == len(self.U_list)
         contain = all(u in h for h, us in classes.items() for u in us)
         lower = len(self.U_list) // (
@@ -234,7 +233,7 @@ class ExtContext:
         )
         return {
             "num_h_classes": len(classes),
-            "h_partition_ok": ok and cover and contain,
+            "h_partition_ok": disjoint and cover and contain,
             "h_class_lower_bound": lower,
             "h_class_lower_bound_ok": len(classes) >= lower,
         }
@@ -246,33 +245,27 @@ class ExtContext:
             central = set(self.chev.center(self.i))
             rows = [g for g in self.chev.enum_G(self.i) if g not in central]
             self._g_rest = np.array(rows, dtype=np.int64)
-            self._g_rest_count = len(rows)
         return self._g_rest
 
-    def _scan_hit(self, P: Mat, garr: np.ndarray, Q: Mat) -> int:
-        return int(
-            kern.scan_conj_upper(
-                np.array(P, dtype=np.int64),
-                garr,
-                np.array(Q, dtype=np.int64),
-                self.chev.m,
-                self.tower.zech,
-                self.tower.Q1,
-            )
-        )
+    def _scan_hit(self, u: Mat, garr: np.ndarray, permuted: bool = False) -> int:
+        """First row g of garr with P.g.Q upper triangular, else -1, for P =
+        (u.wdot(w0))^-1 and Q = u.wdot(w0); permuted tests P.g.u in B.N."""
+        cx, tw = self.chev, self.tower
+        uw0 = cx.mat_mul(u, self.w0dot)
+        P = np.array(cx.mat_inv(uw0), dtype=np.int64)
+        Q = np.array(u if permuted else uw0, dtype=np.int64)
+        return int(kern.scan_conj_upper(P, garr, Q, cx.m, tw.zech, tw.Q1,
+                                        permuted=permuted))
 
     def gamma_hit(self, u: Mat) -> bool:
         """Some noncentral level-i g puts (u.wdot(w0))^-1 . g . u.wdot(w0) in B."""
-        cx = self.chev
-        uw0 = cx.mat_mul(u, self.w0dot)
-        return self._scan_hit(cx.mat_inv(uw0), self._noncentral_level_i(), uw0) >= 0
+        return self._scan_hit(u, self._noncentral_level_i()) >= 0
 
     def gamma_set(self, jobs: int = 1) -> list:
         if self._gamma is None:
             global _WORK
             omega = self.omega_set()
-            self._noncentral_level_i()
-            requested = len(omega) * self._g_rest_count
+            requested = len(omega) * len(self._noncentral_level_i())
             if requested > SCAN_BUDGET:
                 raise BudgetError("gamma scan", "membership", "SCAN_BUDGET",
                                   SCAN_BUDGET, requested, "conjugations")
@@ -289,28 +282,23 @@ class ExtContext:
         if not rows:
             return True
         barr = np.array(rows, dtype=np.int64)
-        cx = self.chev
-        for u in self.omega_set():
-            uw0 = cx.mat_mul(u, self.w0dot)
-            if self._scan_hit(cx.mat_inv(uw0), barr, uw0) >= 0:
-                return False
-        return True
+        return not any(self._scan_hit(u, barr) >= 0 for u in self.omega_set())
 
     def claim_club(self, u: Mat) -> bool:
-        """No noncentral level-i g and w in W put g.u.wdot(w) in u.wdot(w0).B_{i+1}."""
+        """No noncentral level-i g and w in W put g.u.wdot(w) in u.wdot(w0).B_{i+1}.
+
+        With P = (u.wdot(w0))^-1 that is P.g.u.wdot(w) in B, i.e. h = u^-1.g.u
+        in B^-.wdot(w0).wdot(w)^-1, as wdot(w0).B.wdot(w0)^-1 = B^-.  Over W
+        these cosets make up B^-.N, so the club fails exactly when some g puts
+        P.g.u in B.N: for every r, its last r rows are supported on exactly r
+        columns.  One scan of the noncentral level-i group tests that.
+        """
         self.require_u(u)
         garr = self._noncentral_level_i()
-        requested = self._g_rest_count * len(self.rs.elements)
-        if requested > SCAN_BUDGET:
+        if len(garr) > SCAN_BUDGET:
             raise BudgetError("club scan", "membership", "SCAN_BUDGET",
-                              SCAN_BUDGET, requested, "conjugations")
-        cx = self.chev
-        P = cx.mat_inv(cx.mat_mul(u, self.w0dot))
-        for w in self.rs.elements:
-            Q = cx.mat_mul(u, cx.wdot(w))
-            if self._scan_hit(P, garr, Q) >= 0:
-                return False
-        return True
+                              SCAN_BUDGET, len(garr), "conjugations")
+        return self._scan_hit(u, garr, permuted=True) < 0
 
     # -- the alternating average vector -------------------------------------
 

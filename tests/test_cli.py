@@ -362,7 +362,7 @@ def test_budget_errors_carry_their_fields(monkeypatch):
         (extlab, "SCAN_BUDGET", 10, ctx.gamma_set,
          ("gamma scan", "membership", 132, "conjugations")),
         (extlab, "SCAN_BUDGET", 10, lambda: ctx.claim_club(ctx.U_list[-1]),
-         ("club scan", "membership", 44, "conjugations")),
+         ("club scan", "membership", 22, "conjugations")),
         (cli, "BLOCK_GRID_BUDGET", 7,
          lambda: cli.cmd_blocks(RunConfig({"group": "A1", "p": 3})),
          ("ambient character grid", "block", 8, "characters")),

@@ -141,13 +141,14 @@ def test_scan_budgets_fail_before_any_scan(monkeypatch):
 
     monkeypatch.setattr(extlab.kern, "scan_conj_upper", no_scan)
     monkeypatch.setattr(extlab, "SCAN_BUDGET", 10)
-    # 6 u of omega times the 22 noncentral elements of SL_2(3); 22 times |W|
+    # 6 u of omega times the 22 noncentral elements of SL_2(3); the club is
+    # one scan of the 22
     with pytest.raises(
         BudgetError, match=r"gamma scan .* SCAN_BUDGET=10, requested 132 "
     ):
         ctx.gamma_set()
     with pytest.raises(
-        BudgetError, match=r"club scan .* SCAN_BUDGET=10, requested 44 "
+        BudgetError, match=r"club scan .* SCAN_BUDGET=10, requested 22 "
     ):
         ctx.claim_club(ctx.U_list[-1])
 
@@ -307,6 +308,34 @@ def test_h_sets_contain_their_element():
         assert ctx.h_set(u) is ctx.h_set(u)  # built once per u
 
 
+@pytest.mark.parametrize("p,rank,lam", [(3, 1, (1,)), (7, 1, (1,)), (3, 2, (1, 1))])
+def test_h_set_matches_object_level_loop(p, rank, lam):
+    ctx = ext_for(p, 1, 2, rank, lam, lam, 1)
+    cx = ctx.chev
+    for u in ctx.U_list[::7]:
+        expect = {
+            cx.mat_mul(x, cx.mat_prod([t, u, cx.mat_inv(t)]))
+            for t in cx.enum_T(1)
+            for x in cx.enum_U(1)
+        }
+        assert ctx.h_set(u) == expect
+
+
+def test_h_partition_flags_overlapping_classes(monkeypatch):
+    ctx = ext_for(3, 1, 2, 1, (1,), (1,), 1)
+    assert ctx.h_partition_report()["h_partition_ok"]
+    # two classes, {first} and the other u plus first, that share first
+    first = ctx.U_list[0]
+    monkeypatch.setattr(
+        ExtContext,
+        "h_set",
+        lambda self, u: frozenset({u, first}) if u == first
+        else frozenset(set(self.U_list[1:]) | {first}),
+    )
+    rep = ctx.h_partition_report()
+    assert rep["num_h_classes"] == 2 and rep["h_partition_ok"] is False
+
+
 def test_omega_avoids_lower_level():
     ctx = ext_for(3, 1, 2, 1, (1,), (1,), 1)
     low = set(ctx.chev.enum_U(1))
@@ -325,19 +354,42 @@ def test_noncentral_pool_excludes_center():
 
 
 def test_gamma_matches_longest_word_branch_of_club():
-    # membership in gamma is exactly a hit on the w0 branch of the club scan
+    # gamma asks for h = u^-1.g.u in B^-, the w = w0 coset of the club's
+    # B^-.N: the unpermuted scan with Q = u.wdot(w0) decides gamma, and
+    # every u of gamma fails the club
     for ctx, expect_hit in (
         (ext_for(3, 1, 2, 1, (1,), (1,), 1), True),
         (ext_for(3, 1, 3, 1, (1,), (1,), 2), False),
     ):
         gamma = set(ctx.gamma_set())
         garr = ctx._noncentral_level_i()
-        cx = ctx.chev
+        cx, tw = ctx.chev, ctx.tower
         sample = ctx.omega_set()[:4] + ctx.omega_set()[-4:]
         for u in sample:
             uw0 = cx.mat_mul(u, ctx.w0dot)
-            hit = ctx._scan_hit(cx.mat_inv(uw0), garr, uw0) >= 0
+            P, Q = np.array(cx.mat_inv(uw0)), np.array(uw0)
+            hit = extlab.kern.scan_conj_upper(P, garr, Q, cx.m, tw.zech, tw.Q1) >= 0
             assert hit == (u in gamma) == expect_hit
+        assert not any(ctx.claim_club(u) for u in gamma)
+
+
+def test_claim_club_is_one_scan_per_u(monkeypatch):
+    ctx = ext_for(3, 1, 3, 1, (1,), (1,), 2)
+    sample = ctx.U_list[:6]
+    expect = [ctx.claim_club(u) for u in sample]
+    calls = []
+    scan = extlab.kern.scan_conj_upper
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(extlab.kern, "scan_conj_upper", counted)
+    for u, club in zip(sample, expect):
+        calls.clear()
+        assert ctx.claim_club(u) == club
+        assert calls == [{"permuted": True}]
+    assert True in expect and False in expect
 
 
 # -- the alternating-average vector -------------------------------------------

@@ -189,10 +189,12 @@ def test_mat_mul_codes_matches_chevalley(p, N, rank):
         assert tuple(int(c) for c in row) == cx.mat_mul(pairs[0][0], tuple(b))
 
 
-def _all_hits(cx, P, garr, Q) -> list:
+def _all_hits(cx, P, garr, Q, permuted=False) -> list:
     tw, hits, idx = cx.tower, [], 0
     while True:
-        idx = kern.scan_conj_upper(P, garr, Q, cx.m, tw.zech, tw.Q1, idx)
+        idx = kern.scan_conj_upper(
+            P, garr, Q, cx.m, tw.zech, tw.Q1, idx, permuted=permuted
+        )
         if idx < 0:
             return hits
         hits.append(idx)
@@ -204,6 +206,14 @@ def _oracle_hits(cx, P, G, Q) -> list:
         i for i, g in enumerate(G)
         if cx.is_upper_triangular(cx.mat_prod([P, g, Q]))
     ]
+
+
+def _permuted_oracle(cx, P, g, Q) -> bool:
+    """Some w in W makes P.g.Q.wdot(w) upper triangular."""
+    return any(
+        cx.is_upper_triangular(cx.mat_prod([P, g, Q, cx.wdot(w)]))
+        for w in cx.rs.elements
+    )
 
 
 @pytest.mark.parametrize("p,N,rank", [(3, 1, 1), (5, 1, 1), (2, 1, 2)])
@@ -239,6 +249,52 @@ def test_scan_first_hit_past_first_chunk(monkeypatch):
     P, Q = _codes(P), _codes(cx.identity)
     assert kern.scan_conj_upper(P, garr, Q, cx.m, cx.tower.zech, cx.tower.Q1) == expect[0]
     assert _all_hits(cx, P, garr, Q) == expect
+
+
+def test_permuted_scan_first_hit_past_first_chunk(monkeypatch):
+    monkeypatch.setattr(kern, "SCAN_CHUNK", 8)
+    cx = chev_for(5, 1, 1)
+    G = cx.enum_G(1)
+    P, Q = G[7], G[-3]
+    hits = [g for g in G if _permuted_oracle(cx, P, g, Q)]
+    misses = [g for g in G if g not in hits]
+    # twenty misses first, so the first hit lies in the third chunk
+    garr = _codes(misses[:20] + hits + misses[20:])
+    expect = list(range(20, 20 + len(hits)))
+    assert hits and len(misses) > 20
+    P, Q = _codes(P), _codes(Q)
+    tw = cx.tower
+    assert kern.scan_conj_upper(P, garr, Q, cx.m, tw.zech, tw.Q1, permuted=True) == 20
+    assert _all_hits(cx, P, garr, Q, permuted=True) == expect
+
+
+# (p, N, rank, level k); each draw is either a hit built as P^-1.b.wdot(w).u^-1
+# for b in B_k, or any g = b.wdot(w).b' of G_k (each Bruhat cell reached)
+PERMUTED_GROUPS = [(3, 2, 1, 1), (3, 2, 1, 2), (2, 2, 2, 1), (2, 2, 2, 2), (2, 1, 3, 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(PERMUTED_GROUPS), st.booleans(), st.data())
+def test_permuted_scan_is_some_w_upper_triangular(group, built_hit, data):
+    p, N, rank, k = group
+    cx = chev_for(p, N, rank)
+    B, U = cx.enum_B(k), cx.enum_U(k)
+    pick = lambda xs: data.draw(st.sampled_from(xs))
+    wd = lambda: cx.wdot(pick(cx.rs.elements))
+    u = pick(U)
+    P = cx.mat_inv(cx.mat_mul(u, cx.wdot(cx.rs.w0)))
+    if built_hit:
+        g = cx.mat_prod([cx.mat_inv(P), pick(B), wd(), cx.mat_inv(u)])
+    else:
+        g = cx.mat_prod([pick(B), wd(), pick(B)])
+    tw = cx.tower
+    got = kern.scan_conj_upper(
+        _codes(P), _codes([g]), _codes(u), cx.m, tw.zech, tw.Q1, permuted=True
+    )
+    assert got in (0, -1)
+    assert (got == 0) == _permuted_oracle(cx, P, g, u)
+    if built_hit:
+        assert got == 0
 
 
 @pytest.mark.parametrize(
