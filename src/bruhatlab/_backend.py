@@ -11,6 +11,13 @@ Conventions:
     value Q1 itself is zero.  `zech` is the Zech logarithm table, with
     zech[k] = Q1 marking 1 + g^k = 0.  A code matrix is a flat row-major
     array of m*m codes; a batch of them is an (n, m*m) array.
+  * Code arithmetic is table lookups in an extended encoding that moves zero
+    to Z = 2*Q1 and keeps every nonzero code.  Two tables of length 4*Q1+1,
+    `red` and `shift`, give a product as red[a + b] and a sum as
+    red[a + shift[b - a + Z]]; a zero operand lands at or above Z, which red
+    sends to Z.  With the encoding table they hold about 9*Q entries, O(Q)
+    and never O(Q^2), built once per field.  Arrays are encoded on entry and
+    decoded on exit, so callers see canonical codes only.
 """
 
 from __future__ import annotations
@@ -74,29 +81,80 @@ def echelon_insert(rows: np.ndarray, have: np.ndarray, vec: np.ndarray, ell: int
 
 # -- batched code-matrix products -------------------------------------------------
 
-def _code_mul(a: np.ndarray, b: np.ndarray, Q1: int) -> np.ndarray:
-    return np.where((a == Q1) | (b == Q1), Q1, (a + b) % Q1)
+# the tables of the last field seen: (zech, Q1, red, shift, enc)
+_TABLES: tuple | None = None
 
 
-def _code_add(a: np.ndarray, b: np.ndarray, zech: np.ndarray, Q1: int) -> np.ndarray:
-    z = zech[(b - a) % Q1]
-    out = np.where(z == Q1, Q1, (a + z) % Q1)
-    out = np.where(a == Q1, b, out)
-    return np.where(b == Q1, a, out)
+def _code_tables(zech: np.ndarray, Q1: int) -> tuple:
+    """(red, shift, enc) of the field with Zech table `zech`, memoized on the
+    identity of `zech`, which the tower keeps read-only.
+
+    red maps s < Z to s mod Q1 and s >= Z to Z.  shift[d + Z], for d = b - a,
+    is zech[d mod Q1] (Z where that marks a zero sum) when |d| < Q1, d itself
+    when d < -Q1 (a is zero, so a + d = b) and 0 when d > Q1 (b is zero).
+    enc maps a canonical code to its extended one.
+    """
+    global _TABLES
+    if _TABLES is not None and _TABLES[0] is zech and _TABLES[1] == Q1:
+        return _TABLES[2:]
+    Z = 2 * Q1
+    red = np.full(2 * Z + 1, Z, dtype=np.int64)
+    red[:Z] = np.arange(Z) % Q1
+    d = np.arange(-Z, Z + 1)
+    shift = np.where(d < -Q1, d, 0)
+    inner = np.abs(d) < Q1
+    z = zech[d[inner] % Q1]
+    shift[inner] = np.where(z == Q1, Z, z)
+    enc = np.arange(Q1 + 1, dtype=np.int64)
+    enc[Q1] = Z
+    _TABLES = (zech, Q1, red, shift, enc)
+    return red, shift, enc
+
+
+def _code_mul(a, b, zech: np.ndarray, Q1: int) -> np.ndarray:
+    """Products of canonical codes, elementwise with broadcasting."""
+    red, _, enc = _code_tables(zech, Q1)
+    return np.minimum(red[enc[a] + enc[b]], Q1)
+
+
+def _code_add(a, b, zech: np.ndarray, Q1: int) -> np.ndarray:
+    """Sums of canonical codes, elementwise with broadcasting."""
+    red, shift, enc = _code_tables(zech, Q1)
+    a, b = enc[a], enc[b]
+    return np.minimum(red[a + shift[b - a + 2 * Q1]], Q1)
+
+
+def _encode_stack(X, m: int, enc: np.ndarray, nb: int) -> np.ndarray:
+    """Canonical (..., m*m) codes as an extended (m, m, ...) array, matrix
+    axes first and padded to nb batch axes: each entry then runs over the
+    batch contiguously, so every step of _mul_ext is one long inner loop."""
+    X = np.asarray(X)
+    out = enc.take(X.reshape(-1, m * m).T)
+    return out.reshape((m, m) + (1,) * (nb - X.ndim + 1) + X.shape[:-1])
+
+
+def _mul_ext(A: np.ndarray, B: np.ndarray, m: int, red, shift) -> np.ndarray:
+    """Products of extended (m, m, ...) code stacks, batch axes broadcast."""
+    Z = shift.shape[0] // 2  # shift is indexed by d + Z
+    out = red[A[:, 0:1] + B[None, 0]]
+    for k in range(1, m):
+        term = red[A[:, k:k + 1] + B[None, k]]
+        out = red[out + shift[term - out + Z]]
+    return out
 
 
 def mat_mul_codes(A, B, m: int, zech: np.ndarray, Q1: int) -> np.ndarray:
     """Products of code matrices, broadcast over the leading axes of A and B
-    ((m*m,) or (n, m*m) each); loops over the m terms of a sum only."""
-    A = np.asarray(A, dtype=np.int64)
-    B = np.asarray(B, dtype=np.int64)
-    A = A.reshape(A.shape[:-1] + (m, m))
-    B = B.reshape(B.shape[:-1] + (m, m))
-    out = _code_mul(A[..., :, 0:1], B[..., 0:1, :], Q1)
-    for k in range(1, m):
-        term = _code_mul(A[..., :, k:k + 1], B[..., k:k + 1, :], Q1)
-        out = _code_add(out, term, zech, Q1)
-    return out.reshape(out.shape[:-2] + (m * m,))
+    ((m*m,) or (n, m*m) each); loops over the m terms of a sum only, in the
+    extended encoding."""
+    red, shift, enc = _code_tables(zech, Q1)
+    A, B = np.asarray(A), np.asarray(B)
+    nb = max(A.ndim, B.ndim) - 1
+    out = _mul_ext(_encode_stack(A, m, enc, nb), _encode_stack(B, m, enc, nb),
+                   m, red, shift)
+    res = np.empty(out.shape[2:] + (m * m,), dtype=np.int64)
+    np.minimum(out.reshape(m * m, -1).T, Q1, out=res.reshape(-1, m * m))
+    return res
 
 
 def scan_conj_upper(
@@ -117,18 +175,20 @@ def scan_conj_upper(
     if any, sorts the columns by the row of their lowest nonzero entry.
 
     G is an (nG, m*m) int64 array of code matrices, multiplied out
-    SCAN_CHUNK rows at a time so an early hit skips the rest.
+    SCAN_CHUNK rows at a time so an early hit skips the rest; the products
+    and both tests stay in the extended encoding.
     """
-    lower = [i * m + j for i in range(m) for j in range(i)]
+    red, shift, enc = _code_tables(zech, Q1)
+    Z = 2 * Q1
+    P, Q = _encode_stack(P, m, enc, 1), _encode_stack(Q, m, enc, 1)
+    below, left = np.tril_indices(m, -1)
     for lo in range(start, G.shape[0], SCAN_CHUNK):
-        T = mat_mul_codes(P, G[lo:lo + SCAN_CHUNK], m, zech, Q1)
-        T = mat_mul_codes(T, Q, m, zech, Q1)
+        T = _encode_stack(G[lo:lo + SCAN_CHUNK], m, enc, 1)
+        T = _mul_ext(_mul_ext(P, T, m, red, shift), Q, m, red, shift)
         if permuted:
-            M = T.reshape(-1, m, m)
-            last = m - 1 - np.argmax(M[:, ::-1] != Q1, axis=1)
-            order = np.argsort(last, axis=1)[:, None, :]
-            T = np.take_along_axis(M, order, axis=2).reshape(-1, m * m)
-        hits = np.flatnonzero((T[:, lower] == Q1).all(axis=1))
+            last = m - 1 - np.argmax(T[::-1] != Z, axis=0)
+            T = np.take_along_axis(T, np.argsort(last, axis=0)[None], axis=1)
+        hits = (T[below, left] == Z).all(axis=0).nonzero()[0]
         if hits.size:
             return lo + int(hits[0])
     return -1

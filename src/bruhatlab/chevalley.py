@@ -380,7 +380,7 @@ class Chevalley:
         return u.reshape(-1, m * m), R.reshape(-1, m * m)
 
     def _mul_codes(self, a, b):
-        return kern._code_mul(a, b, self.tower.Q1)
+        return kern._code_mul(a, b, self.tower.zech, self.tower.Q1)
 
     def _add_codes(self, a, b):
         return kern._code_add(a, b, self.tower.zech, self.tower.Q1)

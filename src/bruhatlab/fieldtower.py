@@ -205,6 +205,10 @@ class FieldTower:
         for k in range(self.Q1):
             s = _padd(int(exp[k]), 1, p, d)
             zech[k] = log[s]
+        # read-only: the kernels memoize their arithmetic tables on the
+        # identity of zech, which must then never change underneath them
+        for table in (exp, log, zech):
+            table.setflags(write=False)
         self.exp_table, self.log_table, self.zech = exp, log, zech
         # the scalar ops index a plain list so that codes stay Python ints;
         # the array is for the kernels

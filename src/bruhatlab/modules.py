@@ -32,6 +32,10 @@ from .fieldtower import BudgetError
 from .rootdata import WeylElt
 
 KEY_BUDGET = 10**5
+# bytes of one dense echelon array, D x (D + carry) int64: A3 p=2 at level 2
+# (D = 8,925, about 640 MB) fits, A1 p=5 N=3 at level 3 (D = 15,626, about
+# 2 GB) does not
+ECHELON_BYTES_BUDGET = 2**30
 STABILITY_SAMPLES = 8
 _STABILITY_SEED = 20260818
 
@@ -48,6 +52,10 @@ class Subspace:
     def __init__(self, D: int, ell: int, carry: int = 0):
         if ell * ell * (D + 1) >= 2**63:
             raise OverflowError(f"residues overflow int64: ell={ell}, D={D}")
+        nbytes = 8 * D * (D + carry)
+        if nbytes > ECHELON_BYTES_BUDGET:
+            raise BudgetError("echelon basis", "memory", "ECHELON_BYTES_BUDGET",
+                              ECHELON_BYTES_BUDGET, nbytes, "bytes")
         self.D, self.ell = D, ell
         self.rows = np.zeros((D, D + carry), dtype=np.int64)
         self.have = np.zeros(D, dtype=np.uint8)
@@ -552,7 +560,9 @@ def spin_closure(
     `mod` provides D, ell, generators(), action_tables(), apply_table(),
     to_dense(), random_group_elt(); seeds are sparse dicts or dense arrays.
     The tables of the generators are built in one stacked pass, and so are
-    those of the stability samples.
+    those of the stability samples.  The search stops once the span is the
+    whole module, where no image can add to it; the stability check still
+    runs.
     `gens` replaces mod.generators(), and `project`, a residue map of a
     quotient, is applied to every image, so that the span is the spin of the
     seeds inside that quotient.  `verify` samples random level-k elements of
@@ -571,12 +581,14 @@ def spin_closure(
         if piv >= 0:
             queue.append(S.rows[piv].copy())
     tables = mod.action_tables(mod.generators() if gens is None else gens)
-    while queue:
+    while queue and S.dim < mod.D:
         vec = queue.pop()
         for table in tables:
             piv = S.insert(image(table, vec))
             if piv >= 0:
                 queue.append(S.rows[piv].copy())
+                if S.dim == mod.D:
+                    break
     if verify:
         rng = random.Random(_STABILITY_SEED)
         basis = S.basis_matrix()

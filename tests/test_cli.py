@@ -212,6 +212,17 @@ def test_key_budget_exit_code(tmp_path, monkeypatch, capsys):
     assert "KEY_BUDGET=3, requested 4 keys" in capsys.readouterr().err
 
 
+def test_echelon_bytes_budget_exit_code(tmp_path, monkeypatch, capsys):
+    # the first echelon array of the socle check is 4 x 4 int64
+    monkeypatch.setattr(modules, "ECHELON_BYTES_BUDGET", 100)
+    code, _ = run(tmp_path, "verify", "socle", "group=A1", "p=3", "k=1")
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "budget error: echelon basis exceeds the memory budget: "
+        "ECHELON_BYTES_BUDGET=100, requested 128 bytes\n"
+    )
+
+
 def test_config_file_plus_overrides(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# base settings\ngroup=A1\np=3\ntheta=1\n\nk=1\n")
@@ -363,6 +374,9 @@ def test_budget_errors_carry_their_fields(monkeypatch):
          ("gamma scan", "membership", 132, "conjugations")),
         (extlab, "SCAN_BUDGET", 10, lambda: ctx.claim_club(ctx.U_list[-1]),
          ("club scan", "membership", 22, "conjugations")),
+        (modules, "ECHELON_BYTES_BUDGET", 8 * 4 * 6 - 1,
+         lambda: modules.Subspace(4, 7, carry=2),
+         ("echelon basis", "memory", 8 * 4 * 6, "bytes")),
         (cli, "BLOCK_GRID_BUDGET", 7,
          lambda: cli.cmd_blocks(RunConfig({"group": "A1", "p": 3})),
          ("ambient character grid", "block", 8, "characters")),

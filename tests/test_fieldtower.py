@@ -198,3 +198,14 @@ def test_scalar_index_total_order():
     idx = [tw.scalar_index(x) for x in [tw.ZERO] + list(range(tw.Q1))]
     assert idx == sorted(idx)
     assert len(set(idx)) == tw.Q
+
+
+@pytest.mark.parametrize("name", ["zech", "exp_table", "log_table"])
+def test_tower_tables_are_read_only(name):
+    # the kernels memoize their arithmetic tables on the identity of zech,
+    # so no table of a built tower may change after the build
+    table = getattr(build_tower(3, 1, 2), name)
+    with pytest.raises(ValueError, match="read-only"):
+        table[0] = table[0]
+    with pytest.raises(ValueError, match="read-only"):
+        table += 0

@@ -1,10 +1,11 @@
 """The numpy kernels: RREF subspaces over F_ell and the batched cell scan.
 
 The echelon tests are properties over small random subspaces, checked
-against an independent rank computation.  The scan tests compare the
-batched code-matrix product with the object-level `Chevalley` arithmetic
-it replaces: products, every hit of a restarted scan, and the club and
-gamma memberships of every u in U_{i+1}.
+against an independent rank computation.  The table-driven code arithmetic
+is compared with the tower's scalar ops on every pair of codes.  The scan
+tests compare the batched code-matrix product with the object-level
+`Chevalley` arithmetic it replaces: products, every hit of a restarted
+scan, and the club and gamma memberships of every u in U_{i+1}.
 """
 
 import random
@@ -163,7 +164,46 @@ def _codes(mats) -> np.ndarray:
     return np.array(mats, dtype=np.int64)
 
 
-@pytest.mark.parametrize("p,N,rank", [(3, 2, 1), (5, 1, 1), (2, 2, 2), (2, 1, 3)])
+# (p, a, N) of towers with Q1 = 1, 2, 3, 8, 63 and 120
+ARITH_TOWERS = [(2, 1, 1), (3, 1, 1), (2, 2, 1), (3, 1, 2), (2, 1, 3), (11, 1, 2)]
+
+
+@pytest.mark.parametrize("p,a,N", ARITH_TOWERS)
+def test_code_arithmetic_matches_scalar_ops_on_every_pair(p, a, N):
+    tw = build_tower(p, a, N)
+    codes = np.arange(tw.Q1 + 1)  # zero (code Q1) included
+    A, B = codes[:, None], codes[None, :]
+    prod = kern._code_mul(A, B, tw.zech, tw.Q1)
+    summ = kern._code_add(A, B, tw.zech, tw.Q1)
+    assert prod.shape == summ.shape == (tw.Q, tw.Q)
+    for x in range(tw.Q):
+        assert prod[x].tolist() == [tw.mul(x, y) for y in range(tw.Q)]
+        assert summ[x].tolist() == [tw.add(x, y) for y in range(tw.Q)]
+    # the sums that vanish: x + (-x), which in char 2 is 1 + 1 (zech[0]
+    # marks it), and zero + zero
+    Z = tw.ZERO
+    assert summ[Z, Z] == Z
+    for x in range(tw.Q1):
+        assert summ[x, tw.neg(x)] == Z
+    if p == 2:
+        assert tw.zech[0] == Z and summ[tw.ONE, tw.ONE] == Z
+
+
+@pytest.mark.parametrize("p,a,N", ARITH_TOWERS + [(3, 1, 3)])
+def test_code_tables_are_linear_in_the_field_size(p, a, N):
+    tw = build_tower(p, a, N)
+    red, shift, enc = kern._code_tables(tw.zech, tw.Q1)
+    assert red.shape == shift.shape == (4 * tw.Q1 + 1,)
+    assert enc.shape == (tw.Q,)
+    assert red.size + shift.size + enc.size <= 9 * tw.Q
+    # memoized on the identity of the (read-only) zech table
+    again = kern._code_tables(tw.zech, tw.Q1)
+    assert all(t is u for t, u in zip(again, (red, shift, enc)))
+
+
+@pytest.mark.parametrize(
+    "p,N,rank", [(3, 2, 1), (5, 1, 1), (2, 2, 2), (2, 1, 3), (11, 2, 1), (3, 3, 1)]
+)
 def test_mat_mul_codes_matches_chevalley(p, N, rank):
     cx = chev_for(p, N, rank)
     tw = cx.tower
