@@ -262,23 +262,24 @@ def test_spin_stops_inserting_at_the_full_span(monkeypatch):
     # the unit vector spins up the whole module; once the span is everything
     # no image is inserted, but every stability sample is still checked
     ctx = ctx_for(3, 1, 2, 1, (0,), 1)
-    dims, samples = [], []
-    insert, random_elt = mod.Subspace.insert, ctx.random_group_elt
+    dims, checks = [], []
+    insert, contains = mod.Subspace.insert, mod.Subspace.contains
 
     def counted_insert(self, vec):
         dims.append(self.dim)
         return insert(self, vec)
 
-    def counted_elt(rng):
-        samples.append(1)
-        return random_elt(rng)
+    def counted_contains(self, vec):
+        checks.append(len(vec))
+        return contains(self, vec)
 
     monkeypatch.setattr(mod.Subspace, "insert", counted_insert)
-    monkeypatch.setattr(ctx, "random_group_elt", counted_elt)
+    monkeypatch.setattr(mod.Subspace, "contains", counted_contains)
     spun = ctx.spin([one_vec(ctx)])
     assert spun.dim == ctx.D == dims[-1] + 1
     assert all(d < ctx.D for d in dims)
-    assert len(samples) == mod.STABILITY_SAMPLES
+    # one check of the whole basis per stability sample
+    assert checks == [ctx.D] * mod.STABILITY_SAMPLES
 
 
 # -- quotients ---------------------------------------------------------------
