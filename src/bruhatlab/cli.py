@@ -503,6 +503,12 @@ CENSUS_CSV = {
     ],
 }
 
+PROBE_CSV = [
+    "u", "u_basis", "xi_nonzero", "eigen_ok", "phi_well_defined",
+    "phi_equivariant", "phi_kernel_dim", "m_i_dim", "fix_dim", "meet_dim",
+    "verdict_nonsplit_signal",
+]
+
 
 def cmd_ext(cfg: RunConfig, which: str):
     chars = build_chars(cfg)
@@ -565,13 +571,8 @@ def cmd_ext(cfg: RunConfig, which: str):
             "probe": probe,
             "ok": True,  # the verdict itself is the result, not a failure
         }
-        header = [
-            "u", "u_basis", "xi_nonzero", "eigen_ok", "phi_well_defined",
-            "phi_equivariant", "phi_kernel_dim", "m_i_dim", "fix_dim",
-            "meet_dim", "verdict_nonsplit_signal",
-        ]
-        rows = [tuple(probe[col] for col in header)]
-        return report, "ext_probe", header, rows
+        rows = [tuple(probe[col] for col in PROBE_CSV)]
+        return report, "ext_probe", PROBE_CSV, rows
 
     census = ctx.census(jobs=cfg.jobs)
     report = {

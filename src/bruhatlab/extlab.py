@@ -29,7 +29,8 @@ from .characters import Characters
 from .chevalley import Mat
 from .fieldtower import BudgetError
 from .modules import (
-    ModuleContext, Subspace, level_generators, spin_closure, weighted_sum,
+    DirectSum, ModuleContext, Subspace, level_generators, spin_closure,
+    weighted_sum,
 )
 
 UNIPOTENT_BUDGET = 10**6
@@ -433,56 +434,42 @@ class ExtContext:
 
     def phi_map(self, u: Mat) -> dict:
         """Linear map from the level-i (lambda, J) quotient into the
-        level-(i+1) (mu, K) quotient, sending the generator to xi."""
+        level-(i+1) (mu, K) quotient, sending the generator to xi.
+
+        A linear map is equivariant exactly when its graph is a submodule, so
+        the map is read off the spin of (C_lambda, xi) in the direct sum of
+        the two quotients under the level-i generators, returned as
+        "solver" (its `apply` evaluates the map).  The map is well defined
+        when the spin meets 0 + M_mu only in zero, that is, when it has no
+        pivot in the mu block; the domain is its projection to the lambda
+        block.  "kernel_dim" counts the classes v with (v, 0) in the spin,
+        the kernel of the map when it is well defined.
+        """
         lam_ctx = ModuleContext(self.chars, self.lam, self.i + 1)
         lam_E = lam_ctx.e_module(self.J)
         xi_rep = self.xi(u)
-        xi_vec = xi_rep["vector"]
         gens = level_generators(self.chev, self.i)
-        lam_tables = dict(zip(gens, lam_ctx.action_tables(gens)))
-        mu_tables = dict(zip(gens, self.mu_ctx.action_tables(gens)))
+        pair = DirectSum(lam_E, self.mu_E)
         Dl = lam_ctx.D
-        # pairs (v, w) of the map, the lambda class v leading and w carried
-        solver = Subspace(Dl, self.ell, carry=self.mu_ctx.D)
-        well_defined = True
-        queue = [np.concatenate([lam_E.project(lam_E.C), xi_vec])]
-        solver.insert(queue[0])
-        pairs = [queue[0]]
-        while queue:
-            pair = queue.pop()
-            for g in gens:
-                v2 = lam_E.project(lam_ctx.apply_table(lam_tables[g], pair[:Dl]))
-                w2 = self.mu_E.project(
-                    self.mu_ctx.apply_table(mu_tables[g], pair[Dl:])
-                )
-                pair2 = np.concatenate([v2, w2])
-                res = solver.residue(pair2)
-                if res[:Dl].any():
-                    solver.insert(res)
-                    queue.append(pair2)
-                    pairs.append(pair2)
-                elif res[Dl:].any():
-                    well_defined = False
-        domain_dim = solver.dim
-        equivariant = well_defined
-        if well_defined:
-            for g in gens:
-                for pair in pairs:
-                    v2 = lam_E.project(
-                        lam_ctx.apply_table(lam_tables[g], pair[:Dl])
-                    )
-                    img = solver.apply(v2)
-                    w2 = self.mu_E.project(
-                        self.mu_ctx.apply_table(mu_tables[g], pair[Dl:])
-                    )
-                    if img is None or not np.array_equal(img, w2):
-                        equivariant = False
+        graph = spin_closure(
+            pair, [np.concatenate([lam_E.C, xi_rep["vector"]])], gens=gens,
+            verify=False,
+        )
+        in_lam = np.flatnonzero(graph.have) < Dl
+        well_defined = bool(in_lam.all())
+        domain_dim = int(in_lam.sum())
+        basis = graph.basis_matrix()
+        equivariant = well_defined and all(
+            graph.contains(pair.apply_table(t, basis))
+            for t in pair.action_tables(gens)
+        )
         image = Subspace(self.mu_ctx.D, self.ell)
-        for row in solver.basis():
-            image.insert(row[Dl:])
+        for row in basis[:, Dl:]:
+            image.insert(row)
         level_i_dim = ModuleContext(self.chars, self.lam, self.i).e_module(
             self.J
         ).dim
+        kernel_dim = graph.dim - image.dim
         report = {
             "u": self.u_serial(u),
             "xi_nonzero": xi_rep["xi_nonzero"],
@@ -491,96 +478,68 @@ class ExtContext:
             "equivariant": equivariant,
             "domain_dim": domain_dim,
             "level_i_quotient_dim": level_i_dim,
-            "kernel_dim": domain_dim - image.dim,
-            "injective": domain_dim == image.dim,
-            "solver": solver,
+            "kernel_dim": kernel_dim,
+            "injective": kernel_dim == 0,
+            "solver": graph,
             "lam_ctx": lam_ctx,
             "lam_E": lam_E,
         }
         return report
 
     def twisted_probe(self, u: Mat) -> dict:
-        """Fixed-vector probe of the twisted embedding of M_i into M_{i+1}."""
+        """Fixed-vector probe of the twisted embedding of M_i into M_{i+1}.
+
+        f_i(M_i) is the span of (v, f(v)) over the level-i spin of C_lambda
+        and of (0, w) over that of C_mu, f read off the graph of phi_map;
+        "fix_dim" is the dimension of the vectors of the direct sum of the
+        two quotients fixed by the level-(i+1) unipotent attached to w_J, and
+        "meet_dim" that of their meet with f_i(M_i).  When phi is not well
+        defined no map exists: f(v) is then the graph's mu part reduced
+        modulo the graph's meet with 0 + M_mu, the counts are of that span,
+        and the verdict is negative.
+        """
         phi = self.phi_map(u)
-        lam_ctx, lam_E = phi["lam_ctx"], phi["lam_E"]
-        solver = phi["solver"]
-        Dl, Dm = lam_ctx.D, self.mu_ctx.D
+        lam_E, graph = phi["lam_E"], phi["solver"]
+        Dl = lam_E.D
         ell = self.ell
         # spans of the level-i translates of each quotient generator; level-i
         # generators do not give a level-(i+1) stable span, so no stability check
         gens = level_generators(self.chev, self.i)
-        lam_sub = spin_closure(
-            lam_ctx, [lam_E.C], gens=gens, project=lam_E.project, verify=False
-        )
-        mu_sub = spin_closure(
-            self.mu_ctx, [self.mu_E.C], gens=gens, project=self.mu_E.project,
-            verify=False,
-        )
-
-        def embed(vl, vm):
-            out = np.zeros(Dl + Dm, dtype=np.int64)
-            out[:Dl] = vl % ell
-            out[Dl:] = vm % ell
-            return out
+        lam_sub = spin_closure(lam_E, [lam_E.C], gens=gens, verify=False)
+        mu_sub = spin_closure(self.mu_E, [self.mu_E.C], gens=gens, verify=False)
+        pair = DirectSum(lam_E, self.mu_E)
 
         # f_i(M_i): lambda-block rows are twisted by the map, mu-block rows kept
-        f_image = Subspace(Dl + Dm, ell)
-        for row in lam_sub.basis():
-            img = solver.apply(row)
-            if img is None:
-                return {
-                    "u": self.u_serial(u),
-                    "well_defined": False,
-                    "verdict_nonsplit_signal": False,
-                }
-            f_image.insert(embed(row, img))
-        f_mu = Subspace(Dl + Dm, ell)
-        for row in mu_sub.basis():
-            vec = embed(np.zeros(Dl, dtype=np.int64), row)
-            f_image.insert(vec)
-            f_mu.insert(vec)
+        lam_basis, mu_basis = lam_sub.basis_matrix(), mu_sub.basis_matrix()
+        f_image = Subspace(pair.D, ell)
+        for row in np.hstack([lam_basis, graph.apply(lam_basis)]):
+            f_image.insert(row)
+        for row in mu_basis:
+            f_image.insert(np.concatenate([np.zeros(Dl, dtype=np.int64), row]))
 
-        # fixed vectors of the level-(i+1) unipotent attached to w_J
+        # fixed vectors of the level-(i+1) unipotent attached to w_J: the
+        # combinations of the class bases that every fixing generator fixes
         wJ = self.rs.longest(self.J)
         fix_gens = [
-            self.chev.eps(pair, b)
-            for pair in self.rs.phi_plus_pairs(wJ)
+            self.chev.eps(ab, b)
+            for ab in self.rs.phi_plus_pairs(wJ)
             for b in self.tower.field_basis(self.i + 1)
         ]
-        lam_rows = lam_E.class_basis()
-        mu_rows = self.mu_E.class_basis()
-        big_rows = [embed(r, np.zeros(Dm, dtype=np.int64)) for r in lam_rows]
-        big_rows += [embed(np.zeros(Dl, dtype=np.int64), r) for r in mu_rows]
+        lam_rows, mu_rows = lam_E.class_basis(), self.mu_E.class_basis()
+        big = np.zeros((len(lam_rows) + len(mu_rows), pair.D), dtype=np.int64)
+        big[:len(lam_rows), :Dl] = lam_rows
+        big[len(lam_rows):, Dl:] = mu_rows
+        # with no fixing generator diff has zero width and fixes every vector
+        diff = np.hstack([big[:, :0]] + [
+            (pair.apply_table(t, big) - big) % ell
+            for t in pair.action_tables(fix_gens)
+        ])
+        fixed = Subspace(pair.D, ell)
+        for coeffs in nullspace_coeffs(diff, ell):
+            fixed.insert(coeffs @ big)
 
-        lam_ctx.action_tables(fix_gens)  # both sides' tables in one pass each
-        self.mu_ctx.action_tables(fix_gens)
-
-        def act_big(g, vec):
-            vl = lam_E.project(lam_ctx.apply_table(lam_ctx.action_table(g), vec[:Dl]))
-            vm = self.mu_E.project(
-                self.mu_ctx.apply_table(self.mu_ctx.action_table(g), vec[Dl:])
-            )
-            return embed(vl, vm)
-
-        fixed = Subspace(Dl + Dm, ell)
-        if not fix_gens:
-            for row in big_rows:
-                fixed.insert(row)
-        else:
-            diff_rows = [
-                np.concatenate(
-                    [(act_big(g, row) - row) % ell for g in fix_gens]
-                )
-                for row in big_rows
-            ]
-            for coeffs in nullspace_coeffs(diff_rows, ell):
-                vec = np.zeros(Dl + Dm, dtype=np.int64)
-                for j, c in enumerate(coeffs):
-                    vec = (vec + int(c) * big_rows[j]) % ell
-                fixed.insert(vec)
-
-        meet = subspace_intersection(f_image, fixed)
-        contained = all(f_mu.contains(row) for row in meet.basis())
+        meet = subspace_intersection(f_image, fixed).basis_matrix()
+        contained = not meet[:, :Dl].any() and mu_sub.contains(meet[:, Dl:])
         return {
             "u": self.u_serial(u),
             "u_basis": None,
@@ -591,11 +550,12 @@ class ExtContext:
             "phi_kernel_dim": phi["kernel_dim"],
             "m_i_dim": lam_sub.dim + mu_sub.dim,
             "fix_dim": fixed.dim,
-            "meet_dim": meet.dim,
+            "meet_dim": len(meet),
             # signal: every fixed vector the embedded module contains already
-            # lies in the mu block; vacuous (negative) when xi vanished
+            # lies in the mu block; vacuous (negative) when xi vanished or
+            # no map exists
             "verdict_nonsplit_signal": bool(
-                phi["xi_nonzero"] and contained
+                phi["well_defined"] and phi["xi_nonzero"] and contained
             ),
             "fixed_meet_inside_mu_block": bool(contained),
         }
@@ -659,28 +619,25 @@ def split_blocks(chars: Characters, lam, mu, J, K, k: int) -> SplitBlocks:
     c0 = least_central_witness(chars, lam, mu)
     if c0 is None:
         raise ValueError("characters agree on the center")
-    # per quotient: its module, the quotient, the class basis, the pivot
-    # columns that give a class its coordinates in that basis, and the
-    # tables of the generators and c0, built in one stacked pass
+    # per quotient: the quotient, the class basis, the pivot columns that
+    # give a class its coordinates in that basis, and the tables of the
+    # generators and c0, built in one stacked pass
     elts = level_generators(chars.chev, k) + [c0]
     quotients = []
     for theta, S in ((lam, J), (mu, K)):
-        ctx = ModuleContext(chars, theta, k)
-        em = ctx.e_module(S)
+        em = ModuleContext(chars, theta, k).e_module(S)
         basis = em.class_basis()
         piv = [int(np.nonzero(r)[0][0]) for r in basis]
-        quotients.append((ctx, em, basis, piv, ctx.action_tables(elts)))
-    dl, dm = (len(q[2]) for q in quotients)
+        quotients.append((em, basis, piv, em.action_tables(elts)))
+    dl, dm = (len(q[1]) for q in quotients)
     n = dl + dm
 
     def block_mat(e):
         out = np.zeros((n, n), dtype=np.int64)
         off = 0
-        for ctx, em, basis, piv, tables in quotients:
-            table = tables[e]
-            for b, row in enumerate(basis):
-                img = em.project(ctx.apply_table(table, row))
-                out[off:off + len(basis), off + b] = img[piv]
+        for em, basis, piv, tables in quotients:
+            imgs = em.apply_table(tables[e], basis)
+            out[off:off + len(basis), off:off + len(basis)] = imgs[:, piv].T
             off += len(basis)
         out.setflags(write=False)
         return out

@@ -82,14 +82,19 @@ class Subspace:
         return not self.residue(vec).any()
 
     def apply(self, vec):
-        """Carried part of the span element whose leading part is vec; None
-        when vec is outside the span of the leading parts."""
-        full = np.zeros(self.rows.shape[1], dtype=np.int64)
-        full[:self.D] = vec
+        """The rest of the span element whose leading part is vec, the
+        leading part being the first len(vec) entries: the carried part of a
+        `carry` subspace, the image of vec under the map whose graph this
+        is.  A (k, n) stack gives one row per row.  None when vec, or some
+        row of the stack, is outside the span of the leading parts."""
+        vec = np.asarray(vec)
+        n = vec.shape[-1]
+        full = np.zeros(vec.shape[:-1] + self.rows.shape[1:], dtype=np.int64)
+        full[..., :n] = vec
         res = self.residue(full)
-        if res[:self.D].any():
+        if res[..., :n].any():
             return None
-        return -res[self.D:] % self.ell
+        return -res[..., n:] % self.ell
 
     def pivots(self) -> list[int]:
         return [int(c) for c in np.nonzero(self.have)[0]]
@@ -499,10 +504,16 @@ class ModuleContext(KeyedModule):
 
 
 class EModule:
-    """Quotient M(theta)_J / N(theta)_J with echelon coset representatives."""
+    """Quotient M(theta)_J / N(theta)_J with echelon coset representatives.
+
+    It is a module in its own right: a class is its canonical representative
+    in the D-dimensional ambient space, and an action table of the ambient
+    module acts on classes through `project`, so `spin_closure` spins inside
+    the quotient."""
 
     def __init__(self, ctx: ModuleContext, J: frozenset, M: Subspace, N: Subspace, C):
         self.ctx = ctx
+        self.D, self.ell = ctx.D, ctx.ell
         self.J = J
         self.M = M
         self.N = N
@@ -512,13 +523,20 @@ class EModule:
     def project(self, dense) -> np.ndarray:
         return self.N.residue(dense)
 
-    def class_basis(self) -> list[np.ndarray]:
+    def action_tables(self, gs) -> list:
+        return self.ctx.action_tables(gs)
+
+    def apply_table(self, table, dense: np.ndarray) -> np.ndarray:
+        """The class of g applied to a class, or to each row of a stack."""
+        return self.project(self.ctx.apply_table(table, dense))
+
+    def class_basis(self) -> np.ndarray:
         # echelon rows of the projected span; each row is a canonical
         # representative since residues are closed under linear combinations
-        span = Subspace(self.ctx.D, self.ctx.ell)
+        span = Subspace(self.D, self.ell)
         for row in self.project(self.M.basis_matrix()):
             span.insert(row)
-        return span.basis()
+        return span.basis_matrix()
 
     def simplicity_probe(self, samples: int = 5) -> bool:
         """Spin random nonzero classes; True if each regenerates all of M_J mod N."""
@@ -552,28 +570,22 @@ def level_generators(chev, k: int) -> list[Mat]:
     return gens
 
 
-def spin_closure(
-    mod, seeds, verify: bool = True, gens=None, project=None
-) -> Subspace:
-    """Smallest subspace containing seeds and stable under the generators.
+def spin_closure(mod, seeds, verify: bool = True, gens=None) -> Subspace:
+    """Smallest subspace containing seeds and stable under the generators:
+    the one spin-up routine, for a module, a quotient (`EModule`) or a
+    direct sum of them (`DirectSum`, whose spin of a pair (v, w) is the
+    graph of the equivariant map v -> w when it has no pivot past v).
 
-    `mod` provides D, ell, generators(), action_tables(), apply_table(),
-    to_dense(), random_group_elt(); seeds are sparse dicts or dense arrays.
-    The tables of the generators are built in one stacked pass, and so are
-    those of the stability samples.  The search stops once the span is the
-    whole module, where no image can add to it; the stability check still
-    runs.
-    `gens` replaces mod.generators(), and `project`, a residue map of a
-    quotient, is applied to every image, so that the span is the spin of the
-    seeds inside that quotient.  `verify` samples random level-k elements of
-    `mod`, so it must be off when `gens` generate a smaller group.
+    `mod` provides D, ell, action_tables() and apply_table(), and also
+    generators() when `gens` is None, random_group_elt() when `verify` is
+    on and to_dense() for seeds given as sparse dicts rather than dense
+    arrays.  The tables of the generators are built in one stacked pass, and
+    so are those of the stability samples.  The search stops once the span
+    is the whole module, where no image can add to it; the stability check
+    still runs.  `verify` samples random level-k elements of `mod`, so it
+    must be off when `gens` generate a smaller group.
     """
     S = Subspace(mod.D, mod.ell)
-
-    def image(table, vec):
-        out = mod.apply_table(table, vec)
-        return out if project is None else project(out)
-
     queue = []
     for seed in seeds:
         dense = mod.to_dense(seed) if isinstance(seed, dict) else np.array(seed)
@@ -584,7 +596,7 @@ def spin_closure(
     while queue and S.dim < mod.D:
         vec = queue.pop()
         for table in tables:
-            piv = S.insert(image(table, vec))
+            piv = S.insert(mod.apply_table(table, vec))
             if piv >= 0:
                 queue.append(S.rows[piv].copy())
                 if S.dim == mod.D:
@@ -594,9 +606,31 @@ def spin_closure(
         basis = S.basis_matrix()
         samples = [mod.random_group_elt(rng) for _ in range(STABILITY_SAMPLES)]
         for table in mod.action_tables(samples):
-            if not S.contains(image(table, basis)):
+            if not S.contains(mod.apply_table(table, basis)):
                 raise AssertionError("spin closure is not group stable")
     return S
+
+
+class DirectSum:
+    """Modules side by side: a vector is the concatenation of one vector of
+    each summand, and an action table the tuple of the summands' tables."""
+
+    def __init__(self, *mods):
+        self.mods = mods
+        self.ell = mods[0].ell
+        self.cuts = np.cumsum([0] + [mod.D for mod in mods])
+        self.D = int(self.cuts[-1])
+
+    def action_tables(self, gs) -> list:
+        return list(zip(*(mod.action_tables(gs) for mod in self.mods)))
+
+    def apply_table(self, table, dense: np.ndarray) -> np.ndarray:
+        """g applied to a dense vector, or to each row of a (k, D) stack."""
+        parts = zip(self.mods, table, self.cuts, self.cuts[1:])
+        return np.concatenate(
+            [mod.apply_table(t, dense[..., lo:hi]) for mod, t, lo, hi in parts],
+            axis=-1,
+        )
 
 
 class InducedContext(KeyedModule):

@@ -304,6 +304,40 @@ def test_ext_split_report_digests(tmp_path):
     }
 
 
+@pytest.mark.parametrize("config, digests", [
+    (
+        "group=A1 p=3 lam=1 mu=1 i=1",
+        ("39072d76e05311c02d039f21fbb2eedc0b747d66278deaccd9d59a169fdd2b66",
+         "ddbfef39c97081f5806fccf155575b179e88b060ffcaa3c7e0d28b4415000710"),
+    ),
+    (
+        "group=A1 p=3 lam=0 mu=0 i=1 J=1 K=1",
+        ("91828e6365466834c2ef6e060574f6a5ff5e8e315d99404c54d87951a60a4421",
+         "c0026f04e37f978f4223f4f17d0fa50f4d4ea6fc3d8330d585c54d0e097035da"),
+    ),
+    (
+        "group=A2 p=2 lam=0,0 mu=0,0 i=1 J=1 K=1",
+        ("bd2d057726e80f7858a9cb9f73fc245a83b7fc0c08a403143cd97ac7b0090175",
+         "f97574494f736142feffac355a4eff299361feca060c9a0d3b2ae2e84031923a"),
+    ),
+    (
+        "group=A2 p=2 lam=0,0 mu=0,0 i=1 J=3 K=3",
+        ("49818a70c607331f6948fd82e3495d6055021186814c4b4320535fd21af678ec",
+         "a0f7f3f6ce919cf0c769414c56e831820edaffa5cdf981498618418e5837df43"),
+    ),
+])
+def test_ext_probe_report_digests(tmp_path, config, digests):
+    # probes pinned byte for byte, with and without fixing generators (J
+    # empty, J nonempty): the graph spin, the stacked fixed-vector step and
+    # the meet all feed these reports
+    code, out = run(tmp_path, "ext", "probe", *config.split())
+    assert code == 0
+    assert tuple(
+        hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("ext_probe.json", "ext_probe.csv")
+    ) == digests
+
+
 def test_ext_split_failure_reports_witness(tmp_path, monkeypatch):
     # no real twist fails to split, so a scalar central element (whose
     # eigenspace is the whole module) stands in for a broken one

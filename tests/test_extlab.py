@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from bruhatlab import extlab
+from bruhatlab import cli, extlab
 from bruhatlab.characters import Characters
 from bruhatlab.chevalley import Chevalley
 from bruhatlab.extlab import (
@@ -28,6 +28,7 @@ from bruhatlab.extlab import (
 )
 from bruhatlab.fieldtower import BudgetError, build_tower
 from bruhatlab.modules import (
+    DirectSum,
     ModuleContext,
     Subspace,
     level_generators,
@@ -71,6 +72,20 @@ def test_augmented_solver_consistency():
     assert np.array_equal(img, (3 * w1 + w2) % ell)
     assert s.apply(np.array([0, 0, 1])) is None  # outside the span
     assert s.dim == 2
+    # a (k, n) stack maps row by row, and is None if any row is outside
+    stack = np.array([(3 * v1 + v2) % ell, v2])
+    assert np.array_equal(s.apply(stack), np.array([(3 * w1 + w2) % ell, w2]))
+    assert s.apply(np.array([v1, [0, 0, 1]])) is None
+    # a plain subspace whose pivots all lie in the leading columns is the
+    # graph of the same map, read off a vector shorter than its rows
+    g = Subspace(5, ell)
+    g.insert(np.concatenate([v1, w1]))
+    g.insert(np.concatenate([v2, w2]))
+    assert g.pivots() == [0, 1]
+    assert np.array_equal(g.apply((3 * v1 + v2) % ell), (3 * w1 + w2) % ell)
+    assert np.array_equal(g.apply(stack), s.apply(stack))
+    assert g.apply(np.array([0, 0, 1])) is None
+    assert g.apply(np.array([v1, [0, 0, 1]])) is None
 
 
 def test_nullspace_coeffs_kills_rows():
@@ -501,6 +516,50 @@ def test_xi_vanishes_across_blocks():
     assert probe["verdict_nonsplit_signal"] is False
 
 
+def test_graph_spin_separates_central_characters():
+    # a linear map is equivariant exactly when its graph is a submodule of
+    # the direct sum.  -I lies in G_1 and lambda = (1,), mu = (0,) differ on
+    # it, so the G_1-spin of (C_lambda, C_mu) meets 0 + M_mu: no equivariant
+    # map sends C_lambda to C_mu
+    ch = chars_for(3, 1, 2, 1)
+    gens = level_generators(ch.chev, 1)
+    lam_E = ModuleContext(ch, (1,), 2).e_module(FS)
+    mu_E = ModuleContext(ch, (0,), 2).e_module(FS)
+    # the witness acts on each summand by that summand's character
+    z = least_central_witness(ch, (1,), (0,))
+    assert z in ch.chev.center(1)
+    pair = DirectSum(lam_E, mu_E)
+    (table,) = pair.action_tables([z])
+    a, b = ch.eval((1,), z), ch.eval((0,), z)
+    assert a != b
+    stack = np.array([np.concatenate([lam_E.C, mu_E.C])])
+    assert np.array_equal(
+        pair.apply_table(table, stack),
+        np.array([np.concatenate([a * lam_E.C, b * mu_E.C]) % lam_E.ell]),
+    )
+
+    def graph_spin(first, second, v, w):
+        graph = spin_closure(
+            DirectSum(first, second), [np.concatenate([v, w])], gens=gens,
+            verify=False,
+        )
+        in_first = np.flatnonzero(graph.have) < first.D
+        domain = graph.basis_matrix()[in_first, :first.D]
+        return graph, domain, int((~in_first).sum())
+
+    graph, domain, second_pivots = graph_spin(lam_E, mu_E, lam_E.C, mu_E.C)
+    assert (graph.dim, len(domain), second_pivots) == (5, 4, 1)
+    # (C_lambda, 0) is the graph of the zero map on the whole level-1 span
+    zero = np.zeros(mu_E.D, dtype=np.int64)
+    graph, domain, second_pivots = graph_spin(lam_E, mu_E, lam_E.C, zero)
+    assert (len(domain), second_pivots) == (4, 0)
+    assert not graph.apply(domain).any()
+    # (C, C) spins the graph of the identity, whose kernel is 0
+    graph, domain, second_pivots = graph_spin(lam_E, lam_E, lam_E.C, lam_E.C)
+    assert (len(domain), second_pivots) == (4, 0)
+    assert np.array_equal(graph.apply(domain), domain)
+
+
 # -- probes -------------------------------------------------------------------
 
 PROBE_A1 = {
@@ -544,6 +603,30 @@ def test_probe_rank2_frozen():
     assert ext_for(2, 1, 2, 2, (1, 1), (1, 1), 1).probe_report() == PROBE_A2
 
 
+def test_probe_without_a_map_reports_every_key(monkeypatch):
+    # xi replaced by C_mu, which -I keeps out of reach of any equivariant
+    # map from the lambda quotient: phi is not well defined, and the probe
+    # still reports every column of the CLI row, with a negative verdict.
+    # The graph spin then holds (v, 0) for every class v, so the kernel
+    # count is the whole domain; fix_dim and meet_dim count the fixed
+    # vectors and their meet with the span of (v, f(v)), f(v) the graph's
+    # mu part reduced modulo its meet with 0 + M_mu
+    ctx = ExtContext(chars_for(3, 1, 2, 1), (1,), (0,), FS, FS, 1)
+    real = ctx.xi
+    monkeypatch.setattr(
+        ctx, "xi",
+        lambda u, check_eigen=True: {
+            **real(u, check_eigen), "xi_nonzero": True, "vector": ctx.mu_E.C,
+        },
+    )
+    probe = ctx.twisted_probe(ctx.choose_u()[0])
+    assert set(cli.PROBE_CSV) <= set(probe)
+    assert probe["phi_well_defined"] is False
+    assert probe["phi_equivariant"] is False
+    assert probe["verdict_nonsplit_signal"] is False
+    assert (probe["phi_kernel_dim"], probe["fix_dim"], probe["meet_dim"]) == (4, 3, 2)
+
+
 def test_probe_deterministic_and_jobs_invariant():
     ch = chars_for(3, 1, 2, 1)
     runs = [
@@ -582,8 +665,7 @@ def test_projected_spin_spans_level_i_classes(p, rank, lam, dim):
     ctx = ext_for(p, 1, 2, rank, lam, lam, 1)
     em = ctx.mu_E
     spun = spin_closure(
-        ctx.mu_ctx, [em.C], gens=level_generators(ctx.chev, 1),
-        project=em.project, verify=False,
+        em, [em.C], gens=level_generators(ctx.chev, 1), verify=False,
     )
     classes = Subspace(ctx.mu_ctx.D, ctx.ell)
     for row in ctx.class_of(np.array(ctx.chev.enum_G(1))):
@@ -607,13 +689,8 @@ def test_two_step_gluing_composes():
     lam2, lE2 = phi2["lam_ctx"], phi2["lam_E"]
     s1, s2 = phi1["solver"], phi2["solver"]
     gens = level_generators(ch.chev, 1)
-    sub_l1 = spin_closure(
-        lam1, [lE1.C], gens=gens, project=lE1.project, verify=False
-    )
-    sub_m1 = spin_closure(
-        ctx1.mu_ctx, [ctx1.mu_E.C], gens=gens, project=ctx1.mu_E.project,
-        verify=False,
-    )
+    sub_l1 = spin_closure(lE1, [lE1.C], gens=gens, verify=False)
+    sub_m1 = spin_closure(ctx1.mu_E, [ctx1.mu_E.C], gens=gens, verify=False)
 
     def tau(small, big, em_big, dense):
         # reinterpret the residue over the larger level, then reduce again;
