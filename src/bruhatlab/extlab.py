@@ -380,7 +380,6 @@ class ExtContext:
             )
         omega = self.omega_set()
         gamma = self.gamma_set(jobs=jobs)
-        self._noncentral_level_i()
         _WORK = self
         pairs = _pmap(_census_pair_worker, omega, jobs)
         _WORK = None
@@ -452,8 +451,7 @@ class ExtContext:
         pair = DirectSum(lam_E, self.mu_E)
         Dl = lam_ctx.D
         graph = spin_closure(
-            pair, [np.concatenate([lam_E.C, xi_rep["vector"]])], gens=gens,
-            verify=False,
+            pair, [np.concatenate([lam_E.C, xi_rep["vector"]])], gens=gens
         )
         in_lam = np.flatnonzero(graph.have) < Dl
         well_defined = bool(in_lam.all())
@@ -505,8 +503,8 @@ class ExtContext:
         # spans of the level-i translates of each quotient generator; level-i
         # generators do not give a level-(i+1) stable span, so no stability check
         gens = level_generators(self.chev, self.i)
-        lam_sub = spin_closure(lam_E, [lam_E.C], gens=gens, verify=False)
-        mu_sub = spin_closure(self.mu_E, [self.mu_E.C], gens=gens, verify=False)
+        lam_sub = spin_closure(lam_E, [lam_E.C], gens=gens)
+        mu_sub = spin_closure(self.mu_E, [self.mu_E.C], gens=gens)
         pair = DirectSum(lam_E, self.mu_E)
 
         # f_i(M_i): lambda-block rows are twisted by the map, mu-block rows kept

@@ -14,8 +14,8 @@ an induced-from-parabolic realization with coset bases is provided alongside,
 with a generator whose spin is compared against the quotient dimension.  Both
 realizations share one base, `KeyedModule`, whose one stacked action runs
 every (group element, key) pair of a call through one batched product and
-one Bruhat-cell pass; they differ only in `_locate`, which names the key and
-scale of each product.
+one Bruhat-cell pass, with one `_locate` naming the key and scale of each
+product; the two realizations differ only in J' (empty for the Bruhat basis).
 """
 
 from __future__ import annotations
@@ -141,40 +141,50 @@ def subsets(indices) -> list[frozenset]:
 
 
 class KeyedModule:
-    """A level-k module on a monomial basis of keys (w, u), one for each Weyl
-    representative w in `reps` and each u in the level-k points of the
-    unipotent group attached to Phi_{w^-1}^-, the key standing for
-    u * wdot(w).
+    """The level-k module induced from the parabolic P_{J'}, on a monomial
+    basis of keys (w, u): w runs over the minimal representatives of the
+    cosets w W_{J'} (all of rs.elements, in order, when J' is empty: the
+    principal series), u over the level-k points of the unipotent group
+    attached to Phi_{w^-1}^-, and the key stands for u * wdot(w).
 
     The action is written once, on code arrays: `_images` multiplies paired
     group elements and keys in one batched product and hands the products
-    h = g * key to the realization's `_locate(H)`, which names the key and
-    scale of each h in one stacked Bruhat-cell pass.  `act`, `act_stack`,
-    `action_table` and `action_tables` are built on it.  The per-key
-    `act_key` of each realization, through bruhat_form, is its oracle.
+    h = g * key to `_locate(H)`, which names the key and scale of each h in
+    one stacked Bruhat-cell pass.  `act`, `act_stack`, `action_table` and
+    `action_tables` are built on it.  The per-key `act_key` of each
+    realization, through bruhat_form, is its oracle.
     """
 
-    def __init__(self, chars: Characters, theta, k: int, reps):
+    def __init__(self, chars: Characters, theta, k: int, Jp=frozenset()):
         self.chars = chars
         self.chev = chars.chev
-        self.rs = chars.rs
+        self.rs = rs = chars.rs
         self.tower = chars.tower
         self.theta = chars.normalize(theta)
         self.k = k
+        self.Jp = frozenset(Jp)
         self.ell = chars.coeff.ell
+        reps = rs.min_coset_reps(self.Jp)
         qk = self.tower.level_size(k)
         total = sum(qk**w.length for w in reps)
         if total > KEY_BUDGET:
             raise BudgetError("module basis", "key", "KEY_BUDGET", KEY_BUDGET,
                               total, "keys")
-        self.keys = [
-            (w, u)
-            for w in reps
-            for u in self.chev.enum_U_w(self.rs.inv(w), k)
-        ]
+        self.keys = [(w, u) for w in reps for u in self.chev.enum_U_w(rs.inv(w), k)]
         self.D = len(self.keys)
         self.key_index = {key: i for i, key in enumerate(self.keys)}
-        self.one_key = (self.rs.e, self.chev.identity)
+        self.one_key = (rs.e, self.chev.identity)
+        index = {w: e for e, w in enumerate(rs.elements)}
+        sub = rs.subgroup(self.Jp)
+        # rs.elements index of the minimal representative of each coset w W_{J'}
+        self._min_reps = np.array([
+            index[min((rs.mul(w, rs.inv(y)) for y in sub), key=lambda z: z.length)]
+            for w in rs.elements
+        ])
+        for w, e in zip(rs.elements, self._min_reps):
+            x = rs.elements[e]
+            assert not rs.descents(x) & self.Jp, "coset representative not minimal"
+            assert set(rs.mul(rs.inv(x), w).word) <= self.Jp, "w outside x W_J'"
         self._key_mats: dict = {}
         self._tables: dict = {}
         self._etas: dict = {}
@@ -237,6 +247,25 @@ class KeyedModule:
             H = kern.mat_mul_codes(G[s], self._key_codes[src[s]], m, tw.zech, tw.Q1)
             idx[s], scale[s] = self._locate(H)
         return idx, scale
+
+    def _locate(self, H) -> tuple:
+        """Key index and scale of each row h of H: h = key' * p with key' the
+        key of the coset h P_{J'}, and the scale is theta(p), p in P_{J'}.
+
+        The Bruhat cell h = u * wdot(w) * t * v gives both.  With x =
+        _min_reps[w], w = x * y with y in W_{J'} and l(w) = l(x) + l(y), so
+        the Tits lift has wdot(w) = wdot(x) * wdot(y).  The peel u = u' * R,
+        u' on Phi_{x^-1}^- and R zero there, gives key' = u' * wdot(x), and
+        wdot(x)^-1 R wdot(x) lies in U.  So p = key'^-1 * h = (wdot(x)^-1 R
+        wdot(x)) * wdot(y) * t * v, and as the torus part of U wdot(y) T U is
+        unique, theta(p) = theta(t).  With J' empty x = w, and the peel, which
+        would return u unchanged, is skipped.
+        """
+        widx, u, t = self.chev.bruhat_cells(H)
+        if self.Jp:
+            widx = self._min_reps[widx]
+            u = self.chev.peel_unipotents(u, widx)[0]
+        return self._key_indices(widx, u), self.chars.eval_diags(self.theta, t)
 
     def _key_indices(self, widx, u) -> np.ndarray:
         """Index of the key (w, u) of each row, w = rs.elements[widx]."""
@@ -336,8 +365,8 @@ class KeyedModule:
 
     # -- spin-up closure ---------------------------------------------------------
 
-    def spin(self, seeds, verify: bool = True) -> Subspace:
-        return spin_closure(self, seeds, verify=verify)
+    def spin(self, seeds) -> Subspace:
+        return spin_closure(self, seeds)
 
 
 class ModuleContext(KeyedModule):
@@ -346,13 +375,9 @@ class ModuleContext(KeyedModule):
     to theta(t) times the key (w, u)."""
 
     def __init__(self, chars: Characters, theta, k: int):
-        super().__init__(chars, theta, k, chars.rs.elements)
+        super().__init__(chars, theta, k)
         self._spins: dict = {}
         self._straightening: dict = {}
-
-    def _locate(self, H) -> tuple:
-        widx, u, t = self.chev.bruhat_cells(H)
-        return self._key_indices(widx, u), self.chars.eval_diags(self.theta, t)
 
     def act_key(self, g: Mat, key):
         """g . key one key at a time through bruhat_form: the oracle of _locate."""
@@ -549,7 +574,7 @@ class EModule:
             vec = (vec + rng.randrange(1, self.ctx.ell) * rng.choice(reps)) % self.ctx.ell
             if self.N.contains(vec):
                 continue
-            S = self.ctx.spin([self.ctx.from_dense(vec)], verify=False)
+            S = self.ctx.spin([self.ctx.from_dense(vec)])
             if S.union(self.N).dim != self.M.dim:
                 return False
         return True
@@ -570,20 +595,20 @@ def level_generators(chev, k: int) -> list[Mat]:
     return gens
 
 
-def spin_closure(mod, seeds, verify: bool = True, gens=None) -> Subspace:
+def spin_closure(mod, seeds, gens=None) -> Subspace:
     """Smallest subspace containing seeds and stable under the generators:
     the one spin-up routine, for a module, a quotient (`EModule`) or a
     direct sum of them (`DirectSum`, whose spin of a pair (v, w) is the
     graph of the equivariant map v -> w when it has no pivot past v).
 
     `mod` provides D, ell, action_tables() and apply_table(), and also
-    generators() when `gens` is None, random_group_elt() when `verify` is
-    on and to_dense() for seeds given as sparse dicts rather than dense
-    arrays.  The tables of the generators are built in one stacked pass, and
-    so are those of the stability samples.  The search stops once the span
-    is the whole module, where no image can add to it; the stability check
-    still runs.  `verify` samples random level-k elements of `mod`, so it
-    must be off when `gens` generate a smaller group.
+    generators() and random_group_elt() when `gens` is None, and to_dense()
+    for seeds given as sparse dicts rather than dense arrays.  The tables of
+    the generators are built in one stacked pass, and so are those of the
+    stability samples.  The search stops once the span is the whole module,
+    where no image can add to it; the stability check still runs.  That
+    check samples random level-k elements of `mod`, so it runs exactly when
+    `gens` is None: given generators may generate a smaller group.
     """
     S = Subspace(mod.D, mod.ell)
     queue = []
@@ -601,7 +626,7 @@ def spin_closure(mod, seeds, verify: bool = True, gens=None) -> Subspace:
                 queue.append(S.rows[piv].copy())
                 if S.dim == mod.D:
                     break
-    if verify:
+    if gens is None:
         rng = random.Random(_STABILITY_SEED)
         basis = S.basis_matrix()
         samples = [mod.random_group_elt(rng) for _ in range(STABILITY_SAMPLES)]
@@ -638,36 +663,11 @@ class InducedContext(KeyedModule):
     by canonical coset representatives u * wdot(x), x minimal in x W_{J'}."""
 
     def __init__(self, chars: Characters, theta, J, k: int):
-        J = frozenset(J)
+        self.J = J = frozenset(J)
         itheta = chars.i_theta(chars.normalize(theta))
         if not J <= itheta:
             raise ValueError("J must be contained in I(theta)")
-        self.J = J
-        self.Jp = itheta - J
-        super().__init__(chars, theta, k, chars.rs.min_coset_reps(self.Jp))
-        rs = self.rs
-        index = {w: e for e, w in enumerate(rs.elements)}
-        sub = rs.subgroup(self.Jp)
-        # rs.elements index of the minimal representative of each coset w W_{J'}
-        self._min_reps = np.array([
-            index[min((rs.mul(w, rs.inv(y)) for y in sub), key=lambda z: z.length)]
-            for w in rs.elements
-        ])
-        self._inverse_keys = np.array(
-            [self.chev.mat_inv(tuple(row)) for row in self._key_codes.tolist()],
-            dtype=np.int64,
-        )
-
-    def _locate(self, H) -> tuple:
-        """h = key' * p with key' the coset key of h P_{J'}, scale theta(p):
-        the Bruhat cell of h names the coset, peeling its u on
-        Phi_{x^-1}^- names the key, and p = key'^-1 * h."""
-        cx, tw = self.chev, self.tower
-        widx, u, _ = cx.bruhat_cells(H)
-        xidx = self._min_reps[widx]
-        idx = self._key_indices(xidx, cx.peel_unipotents(u, xidx)[0])
-        P = kern.mat_mul_codes(self._inverse_keys[idx], H, cx.m, tw.zech, tw.Q1)
-        return idx, self.chars.eval_parabolic(self.theta, self.Jp, P)
+        super().__init__(chars, theta, k, itheta - J)
 
     def coset_key(self, g: Mat):
         """Canonical basis key of the coset g P_{J'}, through bruhat_form and

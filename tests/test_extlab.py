@@ -540,8 +540,7 @@ def test_graph_spin_separates_central_characters():
 
     def graph_spin(first, second, v, w):
         graph = spin_closure(
-            DirectSum(first, second), [np.concatenate([v, w])], gens=gens,
-            verify=False,
+            DirectSum(first, second), [np.concatenate([v, w])], gens=gens
         )
         in_first = np.flatnonzero(graph.have) < first.D
         domain = graph.basis_matrix()[in_first, :first.D]
@@ -664,9 +663,7 @@ def test_projected_spin_spans_level_i_classes(p, rank, lam, dim):
     # the span of its translates g . C, g running over all of G_i
     ctx = ext_for(p, 1, 2, rank, lam, lam, 1)
     em = ctx.mu_E
-    spun = spin_closure(
-        em, [em.C], gens=level_generators(ctx.chev, 1), verify=False,
-    )
+    spun = spin_closure(em, [em.C], gens=level_generators(ctx.chev, 1))
     classes = Subspace(ctx.mu_ctx.D, ctx.ell)
     for row in ctx.class_of(np.array(ctx.chev.enum_G(1))):
         classes.insert(row)
@@ -689,8 +686,8 @@ def test_two_step_gluing_composes():
     lam2, lE2 = phi2["lam_ctx"], phi2["lam_E"]
     s1, s2 = phi1["solver"], phi2["solver"]
     gens = level_generators(ch.chev, 1)
-    sub_l1 = spin_closure(lE1, [lE1.C], gens=gens, verify=False)
-    sub_m1 = spin_closure(ctx1.mu_E, [ctx1.mu_E.C], gens=gens, verify=False)
+    sub_l1 = spin_closure(lE1, [lE1.C], gens=gens)
+    sub_m1 = spin_closure(ctx1.mu_E, [ctx1.mu_E.C], gens=gens)
 
     def tau(small, big, em_big, dense):
         # reinterpret the residue over the larger level, then reduce again;

@@ -11,7 +11,7 @@ from bruhatlab import modules as mod
 from bruhatlab.characters import Characters
 from bruhatlab.chevalley import Chevalley
 from bruhatlab.fieldtower import BudgetError, build_tower
-from bruhatlab.rootdata import build_A
+from bruhatlab.rootdata import RootSystem, build_A
 
 
 @functools.lru_cache(maxsize=None)
@@ -472,7 +472,11 @@ def test_induced_action_cocycle():
 
 @pytest.mark.parametrize(
     "p, r, theta, J, k, trivial",
-    [(2, 2, (0, 0), {1}, 1, True), (2, 2, (1, 0), set(), 2, False)],
+    [
+        (2, 2, (0, 0), {1}, 1, True),
+        (2, 2, (1, 0), set(), 2, False),
+        (2, 3, (1, 0, 0), set(), 2, False),  # J' = {2, 3}, D = 85
+    ],
 )
 def test_induced_tables_match_per_key_action(p, r, theta, J, k, trivial):
     # act_key, through coset_key and bruhat_form, is the oracle of the
@@ -488,6 +492,15 @@ def test_induced_tables_match_per_key_action(p, r, theta, J, k, trivial):
         assert scale.tolist() == [c for _, c in oracle]
         scales.update(scale.tolist())
     assert (scales == {1}) == trivial
+
+
+def test_induced_construction_checks_the_coset_table(monkeypatch):
+    # a coset table built from W_{J'} = {e} alone names representatives
+    # with a descent in J'; construction refuses it instead of building a
+    # wrong action
+    monkeypatch.setattr(RootSystem, "subgroup", lambda self, J: [self.e])
+    with pytest.raises(AssertionError, match="not minimal"):
+        mod.InducedContext(chars_for(2, 1, 2, 2), (0, 0), {1}, 1)
 
 
 def test_induced_full_flag_matches_module_basis():
