@@ -157,6 +157,34 @@ def mat_mul_codes(A, B, m: int, zech: np.ndarray, Q1: int) -> np.ndarray:
     return res
 
 
+# the zero-pattern tables of each matrix size seen: m -> (bit, in_B, in_BN)
+_PATTERNS: dict = {}
+
+
+def _pattern_tables(m: int) -> tuple:
+    """(bit, in_B, in_BN) for m x m matrices, built once per m.
+
+    A zero pattern is the integer with bit a*m + b set when entry (a, b) is
+    zero; bit[a*m + b] is that bit's value.  The boolean tables have one
+    entry per pattern, 2^(m*m) of them (16 at m = 2, 65,536 at m = 4):
+    in_B[z] says every entry below the diagonal is zero, in_BN[z] that the
+    lowest nonzero rows of the columns are distinct (so no column is zero).
+    For an invertible matrix the latter says it lies in B.N: sorting the
+    columns by that row, and no other permutation, makes it upper triangular.
+    """
+    if m not in _PATTERNS:
+        bit = np.int64(1) << np.arange(m * m, dtype=np.int64)
+        z = np.arange(1 << (m * m), dtype=np.int64)
+        zero = (z[:, None] & bit != 0).reshape(-1, m, m)
+        below, left = np.tril_indices(m, -1)
+        in_B = zero[:, below, left].all(axis=1)
+        # lowest nonzero row of each column, -1 for a zero column
+        lowest = np.where(zero, -1, np.arange(m)[:, None]).max(axis=1)
+        in_BN = (np.sort(lowest, axis=1) == np.arange(m)).all(axis=1)
+        _PATTERNS[m] = (bit, in_B, in_BN)
+    return _PATTERNS[m]
+
+
 def scan_conj_upper(
     P: np.ndarray,
     G: np.ndarray,
@@ -171,24 +199,22 @@ def scan_conj_upper(
     """First index idx >= start with P @ G[idx] @ Q upper-triangular, else -1.
 
     With permuted=True the test is P @ G[idx] @ Q in B.N, upper-triangular
-    after some column permutation; for an invertible matrix that permutation,
-    if any, sorts the columns by the row of their lowest nonzero entry.
+    after some column permutation.
 
     G is an (nG, m*m) int64 array of code matrices, multiplied out
     SCAN_CHUNK rows at a time so an early hit skips the rest; the products
-    and both tests stay in the extended encoding.
+    stay in the extended encoding, and each is tested by one lookup of its
+    zero pattern in the in_B or in_BN table of _pattern_tables.
     """
     red, shift, enc = _code_tables(zech, Q1)
+    bit, in_B, in_BN = _pattern_tables(m)
+    table = in_BN if permuted else in_B
     Z = 2 * Q1
     P, Q = _encode_stack(P, m, enc, 1), _encode_stack(Q, m, enc, 1)
-    below, left = np.tril_indices(m, -1)
     for lo in range(start, G.shape[0], SCAN_CHUNK):
         T = _encode_stack(G[lo:lo + SCAN_CHUNK], m, enc, 1)
         T = _mul_ext(_mul_ext(P, T, m, red, shift), Q, m, red, shift)
-        if permuted:
-            last = m - 1 - np.argmax(T[::-1] != Z, axis=0)
-            T = np.take_along_axis(T, np.argsort(last, axis=0)[None], axis=1)
-        hits = (T[below, left] == Z).all(axis=0).nonzero()[0]
+        hits = table[bit @ (T.reshape(m * m, -1) == Z)].nonzero()[0]
         if hits.size:
             return lo + int(hits[0])
     return -1

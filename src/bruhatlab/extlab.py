@@ -30,7 +30,6 @@ from .chevalley import Mat
 from .fieldtower import BudgetError
 from .modules import (
     DirectSum, ModuleContext, Subspace, level_generators, spin_closure,
-    weighted_sum,
 )
 
 UNIPOTENT_BUDGET = 10**6
@@ -307,23 +306,27 @@ class ExtContext:
         """The alternating average attached to u: eta is the class of the
         sum over p in P_{J'} of (1/lambda(p)) (p.u.wdot(w0)).C, and xi the
         alternating sum of the wdot(w)-translates of eta over W_J.  Each sum
-        is one stacked module action, and residues are linear, so each is
-        projected once.  The identity term of W_J is eta itself."""
+        is one weighted module action (act_sum), and residues are linear, so
+        each is projected once.  The identity term of W_J is eta itself, so
+        with J empty only the projection remains."""
         self.require_u(u)
         cx, tw, ell = self.chev, self.tower, self.ell
-        act, project = self.mu_ctx.act_stack, self.mu_E.project
+        act_sum, project = self.mu_ctx.act_sum, self.mu_E.project
         P, values, coeffs = self._parabolic_terms()
         uw0 = np.array(cx.mat_mul(u, self.w0dot), dtype=np.int64)
         G = kern.mat_mul_codes(P, uw0, cx.m, tw.zech, tw.Q1)
-        eta = project(weighted_sum(coeffs, act(G, self.mu_E.C), ell))
+        eta = project(act_sum(G, coeffs, self.mu_E.C))
         report = {"u": self.u_serial(u)}
         if check_eigen:
-            lhs = project(act(P, eta))
+            lhs = project(self.mu_ctx.act_stack(P, eta))
             report["eigen_ok"] = bool((lhs == values[:, None] * eta % ell).all())
+        alt = eta
         ws = self.rs.subgroup(self.J)[1:]
-        signs = np.array([ell - 1 if w.length % 2 else 1 for w in ws], dtype=np.int64)
-        wdots = np.array([cx.wdot_in(self.J, w) for w in ws], dtype=np.int64)
-        xi = project((eta + weighted_sum(signs, act(wdots, eta), ell)) % ell)
+        if ws:
+            signs = [ell - 1 if w.length % 2 else 1 for w in ws]
+            wdots = [cx.wdot_in(self.J, w) for w in ws]
+            alt = (eta + act_sum(wdots, signs, eta)) % ell
+        xi = project(alt)
         report["xi_nonzero"] = bool(xi.any())
         report["xi_in_top_cell_span"] = bool(self.S_subspace().contains(xi))
         report["vector"] = xi

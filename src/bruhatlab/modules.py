@@ -124,12 +124,6 @@ class Subspace:
 
 # -- vector helpers ---------------------------------------------------------------
 
-def weighted_sum(weights: np.ndarray, stack: np.ndarray, ell: int) -> np.ndarray:
-    """sum_r weights[r] * stack[r] mod ell, each product reduced before the
-    sum: exact in int64 for ell < 2^31 and fewer than 2^32 rows."""
-    return (weights[:, None] * stack % ell).sum(axis=0) % ell
-
-
 def subsets(indices) -> list[frozenset]:
     """All subsets of indices, canonically ordered (size, then sorted tuple)."""
     base = sorted(indices)
@@ -150,9 +144,9 @@ class KeyedModule:
     The action is written once, on code arrays: `_images` multiplies paired
     group elements and keys in one batched product and hands the products
     h = g * key to `_locate(H)`, which names the key and scale of each h in
-    one stacked Bruhat-cell pass.  `act`, `act_stack`, `action_table` and
-    `action_tables` are built on it.  The per-key `act_key` of each
-    realization, through bruhat_form, is its oracle.
+    one stacked Bruhat-cell pass.  `act`, `act_stack`, `act_sum`,
+    `action_table` and `action_tables` are built on it.  The per-key
+    `act_key` of each realization, through bruhat_form, is its oracle.
     """
 
     def __init__(self, chars: Characters, theta, k: int, Jp=frozenset()):
@@ -277,10 +271,11 @@ class KeyedModule:
     def act(self, g: Mat, vec: dict) -> dict:
         return self.from_dense(self.act_stack([g], self.to_dense(vec))[0])
 
-    def act_stack(self, G, dense) -> np.ndarray:
-        """g . dense for every row g of an (n, m*m) code array G of level-k
-        elements, as the (n, D) stack of images: every pair (g, key), key in
-        the support of dense, goes through one _images call."""
+    def _act_terms(self, G, dense) -> tuple:
+        """The terms of g . dense for every row g of an (n, m*m) code array G
+        of level-k elements: (n, gi, idx, terms), one entry per pair (g_gi,
+        key) with key in the support of dense, all pairs through one _images
+        call; the term, below ell, lands on key index idx."""
         G = np.asarray(G, dtype=np.int64).reshape(-1, self.chev.m ** 2)
         if (self._level[G] < 0).any():
             raise ValueError(f"group element has entries outside level {self.k}")
@@ -289,9 +284,32 @@ class KeyedModule:
         gi = np.repeat(np.arange(len(G)), src.size)
         ki = np.tile(src, len(G))
         idx, scale = self._images(G[gi], ki)
-        out = np.zeros((len(G), self.D), dtype=np.int64)
-        out[gi, idx] = dense[ki] * scale % self.ell
+        return len(G), gi, idx, dense[ki] * scale % self.ell
+
+    def act_stack(self, G, dense) -> np.ndarray:
+        """g . dense for every row g of an (n, m*m) code array G of level-k
+        elements, as the (n, D) stack of images."""
+        n, gi, idx, terms = self._act_terms(G, dense)
+        out = np.zeros((n, self.D), dtype=np.int64)
+        out[gi, idx] = terms
         return out
+
+    def act_sum(self, G, weights, dense) -> np.ndarray:
+        """sum_r weights[r] * (g_r . dense) mod ell over the rows g_r of an
+        (n, m*m) code array G of level-k elements, as one D-vector; the zero
+        vector when G is empty.
+
+        The pairs are those of act_stack, and each weighted term, reduced
+        below ell, is added into its key by np.bincount.  bincount sums in
+        float64, which is exact while every sum stays below 2^53: that holds
+        when (number of pairs) * ell < 2^53, which is checked.
+        """
+        _, gi, idx, terms = self._act_terms(G, dense)
+        ell = self.ell
+        assert terms.size * ell < 2**53, "bincount sum could round"
+        terms = np.asarray(weights, dtype=np.int64)[gi] % ell * terms % ell
+        sums = np.bincount(idx, weights=terms, minlength=self.D)
+        return sums.astype(np.int64) % ell
 
     def action_table(self, g: Mat):
         """Monomial form of g: (perm, scale) with g.key_i = scale_i * key_{perm_i}."""
@@ -334,11 +352,12 @@ class KeyedModule:
             raise ValueError("J must be contained in I(theta)")
         if J not in self._etas:
             ws = self.rs.subgroup(J)
-            signs = np.array([self.ell - 1 if w.length % 2 else 1 for w in ws])
-            imgs = self.act_stack(
-                [self.chev.wdot_in(J, w) for w in ws], self.to_dense({self.one_key: 1})
+            signs = [self.ell - 1 if w.length % 2 else 1 for w in ws]
+            eta = self.act_sum(
+                [self.chev.wdot_in(J, w) for w in ws], signs,
+                self.to_dense({self.one_key: 1}),
             )
-            self._etas[J] = self.from_dense(weighted_sum(signs, imgs, self.ell))
+            self._etas[J] = self.from_dense(eta)
         return dict(self._etas[J])
 
     def generators(self) -> list[Mat]:

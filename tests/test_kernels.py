@@ -8,6 +8,8 @@ tests compare the batched code-matrix product with the object-level
 scan, and the club and gamma memberships of every u in U_{i+1}.
 """
 
+import itertools
+import math
 import random
 from functools import lru_cache
 
@@ -254,6 +256,35 @@ def _permuted_oracle(cx, P, g, Q) -> bool:
         cx.is_upper_triangular(cx.mat_prod([P, g, Q, cx.wdot(w)]))
         for w in cx.rs.elements
     )
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_pattern_tables_match_brute_force(m):
+    # every zero pattern z of an m x m matrix, bit a*m + b set when entry
+    # (a, b) is zero: in_B asks for every below-diagonal bit, in_BN for some
+    # column order leaving an upper triangular pattern with nonzero diagonal
+    bit, in_B, in_BN = kern._pattern_tables(m)
+    assert bit.tolist() == [2**j for j in range(m * m)]
+    z = np.arange(2 ** (m * m))
+    zero = [[(z >> (a * m + b)) & 1 == 1 for b in range(m)] for a in range(m)]
+    below = np.ones(z.size, dtype=bool)
+    for a, b in itertools.combinations(range(m), 2):
+        below &= zero[b][a]
+    assert np.array_equal(in_B, below)
+    some = np.zeros(z.size, dtype=bool)
+    for perm in itertools.permutations(range(m)):
+        # column j of the reordered pattern is column perm[j]
+        ok = np.ones(z.size, dtype=bool)
+        for a in range(m):
+            for j in range(a + 1):
+                ok &= ~zero[a][perm[j]] if a == j else zero[a][perm[j]]
+        some |= ok
+    assert np.array_equal(in_BN, some)
+    # one upper triangular pattern per free entry choice, and per column
+    # order for in_BN
+    free = 2 ** (m * (m - 1) // 2)
+    assert in_B.sum() == 2**m * free
+    assert in_BN.sum() == math.factorial(m) * free
 
 
 @pytest.mark.parametrize("p,N,rank", [(3, 1, 1), (5, 1, 1), (2, 1, 2)])

@@ -154,6 +154,32 @@ def test_act_stack_matches_per_key_action(p, r, theta, k, monkeypatch):
     assert ctx.act_stack(np.zeros((0, ctx.chev.m**2)), dense).shape == (0, ctx.D)
 
 
+@pytest.mark.parametrize(
+    "p, r, theta, k", [(3, 1, (1,), 1), (3, 1, (1,), 2), (2, 2, (1, 0), 2)]
+)
+def test_act_sum_matches_weighted_act_stack(p, r, theta, k, monkeypatch):
+    # act_sum against the explicit sum of the act_stack rows, with weights
+    # 0 and ell - 1 among them; the characters are not 1 on the level-k
+    # torus, so the scales are nontrivial
+    ctx = ctx_for(p, 1, 2, r, theta, k)
+    rng = random.Random(43)
+    gs = ctx.generators() + [ctx.random_group_elt(rng) for _ in range(10)]
+    assert any((scale != 1).any() for _, scale in ctx.action_tables(gs))
+    G = np.array(gs)
+    weights = [0, ctx.ell - 1] + [rng.randrange(ctx.ell) for _ in gs[2:]]
+    dense = np.array([rng.randrange(ctx.ell) for _ in range(ctx.D)])
+    dense[rng.randrange(ctx.D)] = 0
+    stack = ctx.act_stack(G, dense)
+    want = sum(int(c) * row for c, row in zip(weights, stack)) % ctx.ell
+    assert np.array_equal(ctx.act_sum(G, weights, dense), want)
+    # chunk boundaries inside the (g, key) pairs change nothing
+    monkeypatch.setattr(mod.kern, "SCAN_CHUNK", 7)
+    assert np.array_equal(ctx.act_sum(G, weights, dense), want)
+    empty = ctx.act_sum(np.zeros((0, ctx.chev.m**2)), [], dense)
+    assert empty.dtype == np.int64
+    assert np.array_equal(empty, np.zeros(ctx.D, dtype=np.int64))
+
+
 def test_tables_of_a_higher_level_central_element():
     # the splitter acts with its central witness c0, a level-2 element, on
     # level-1 modules: a table checks the level of its image keys, not of
@@ -476,6 +502,9 @@ def test_induced_action_cocycle():
         (2, 2, (0, 0), {1}, 1, True),
         (2, 2, (1, 0), set(), 2, False),
         (2, 3, (1, 0, 0), set(), 2, False),  # J' = {2, 3}, D = 85
+        # J' = {1}: the coset peel changes keys only when J' holds a simple
+        # root other than the last
+        (2, 2, (0, 0), {2}, 1, True),
     ],
 )
 def test_induced_tables_match_per_key_action(p, r, theta, J, k, trivial):
