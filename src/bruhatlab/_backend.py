@@ -26,7 +26,8 @@ import numpy as np
 
 BACKEND = "py"
 
-# group elements per batched product in scan_conj_upper
+# the most rows per batched product: group elements in scan_conj_upper,
+# (g, key) pairs in modules.KeyedModule._images
 SCAN_CHUNK = 2048
 
 
@@ -201,20 +202,24 @@ def scan_conj_upper(
     With permuted=True the test is P @ G[idx] @ Q in B.N, upper-triangular
     after some column permutation.
 
-    G is an (nG, m*m) int64 array of code matrices, multiplied out
-    SCAN_CHUNK rows at a time so an early hit skips the rest; the products
-    stay in the extended encoding, and each is tested by one lookup of its
-    zero pattern in the in_B or in_BN table of _pattern_tables.
+    G is an (nG, m*m) int64 array of code matrices, multiplied out in
+    chunks that grow: the first has SCAN_CHUNK // 8 rows (at least one) and
+    each next one twice as many, up to SCAN_CHUNK, so an early hit skips the
+    rest and a late one or a miss pays few extra chunks.  The products stay
+    in the extended encoding, and each is tested by one lookup of its zero
+    pattern in the in_B or in_BN table of _pattern_tables.
     """
     red, shift, enc = _code_tables(zech, Q1)
     bit, in_B, in_BN = _pattern_tables(m)
     table = in_BN if permuted else in_B
     Z = 2 * Q1
     P, Q = _encode_stack(P, m, enc, 1), _encode_stack(Q, m, enc, 1)
-    for lo in range(start, G.shape[0], SCAN_CHUNK):
-        T = _encode_stack(G[lo:lo + SCAN_CHUNK], m, enc, 1)
+    lo, size = start, max(1, SCAN_CHUNK // 8)
+    while lo < G.shape[0]:
+        T = _encode_stack(G[lo:lo + size], m, enc, 1)
         T = _mul_ext(_mul_ext(P, T, m, red, shift), Q, m, red, shift)
         hits = table[bit @ (T.reshape(m * m, -1) == Z)].nonzero()[0]
         if hits.size:
             return lo + int(hits[0])
+        lo, size = lo + size, min(2 * size, SCAN_CHUNK)
     return -1

@@ -459,26 +459,28 @@ class Chevalley:
             self._enum_cache[key] = out
         return self._enum_cache[key]
 
+    def _products(self, A, B) -> list[Mat]:
+        """a * b for every a of A and b of B, a-major, as one stacked
+        product (mat_mul_codes) over the code arrays."""
+        A = np.array(A, dtype=np.int64).reshape(-1, 1, self.m * self.m)
+        B = np.array(B, dtype=np.int64).reshape(1, -1, self.m * self.m)
+        out = kern.mat_mul_codes(A, B, self.m, self.tower.zech, self.tower.Q1)
+        return list(map(tuple, out.reshape(-1, self.m * self.m).tolist()))
+
     def enum_B(self, k: int) -> list[Mat]:
+        """t * u for t of T_k and u of U_k, t-major."""
         key = ("B", k)
         if key not in self._enum_cache:
-            self._enum_cache[key] = [
-                self.mat_mul(t, u) for t in self.enum_T(k) for u in self.enum_U(k)
-            ]
+            self._enum_cache[key] = self._products(self.enum_T(k), self.enum_U(k))
         return self._enum_cache[key]
 
     def enum_cell(self, w: WeylElt, k: int) -> list[Mat]:
-        """The Bruhat cell U_{w^-1} wdot(w) B at level k, canonical order."""
+        """The Bruhat cell U_{w^-1} wdot(w) B at level k, canonical order:
+        (u * wdot(w)) * b, u-major."""
         key = ("cell", w.perm, k)
         if key not in self._enum_cache:
-            wd = self.wdot(w)
-            left = [
-                self.mat_mul(u, wd)
-                for u in self.enum_U_w(self.rs.inv(w), k)
-            ]
-            self._enum_cache[key] = [
-                self.mat_mul(lhs, b) for lhs in left for b in self.enum_B(k)
-            ]
+            left = self._products(self.enum_U_w(self.rs.inv(w), k), [self.wdot(w)])
+            self._enum_cache[key] = self._products(left, self.enum_B(k))
         return self._enum_cache[key]
 
     def group_order(self, k: int, ws=None) -> int:

@@ -136,6 +136,8 @@ class ExtContext:
         self._S: Subspace | None = None
         self._omega_w_sets: dict = {}
         self._h_sets: dict = {}
+        # scan verdicts per h-class, unpermuted (gamma) and permuted (club)
+        self._class_hits: dict = {False: {}, True: {}}
         self._omega: list | None = None
         self._gamma: list | None = None
         self._g_rest: np.ndarray | None = None
@@ -191,20 +193,33 @@ class ExtContext:
             self._omega_w_sets[w.perm] = (om, omp)
         return self._omega_w_sets[w.perm]
 
+    def _h_orbit(self, u: Mat) -> frozenset:
+        """{x t u t^-1 : t in T_i, x in U_i}, built afresh."""
+        cx, tw, m = self.chev, self.tower, self.chev.m
+        T = np.array(cx.enum_T(self.i), dtype=np.int64)
+        # a torus element's inverse negates the codes on its diagonal
+        T_inv = np.where(T == tw.Q1, tw.Q1, -T % tw.Q1)
+        conj = kern.mat_mul_codes(
+            kern.mat_mul_codes(T, u, m, tw.zech, tw.Q1), T_inv, m, tw.zech, tw.Q1
+        )
+        X = np.array(cx.enum_U(self.i), dtype=np.int64)[:, None]
+        H = kern.mat_mul_codes(X, conj, m, tw.zech, tw.Q1).reshape(-1, m * m)
+        return frozenset(map(tuple, H.tolist()))
+
     def h_set(self, u: Mat) -> frozenset:
-        """{x t u t^-1 : t in T_i, x in U_i}, built once per u."""
+        """The h-class {x t u t^-1 : t in T_i, x in U_i} of u.
+
+        It is the orbit of u under b * u = b.u.t(b)^-1 of B_i, t(b) the torus
+        part of b, so the h-classes partition U_{i+1}: the orbit is built
+        once, and every member shares the one frozenset object, on which
+        gamma_hit and claim_club memoize their verdicts.
+        h_partition_report checks the partition by rebuilding each u's orbit.
+        """
         if u not in self._h_sets:
             self.require_u(u)
-            cx, tw, m = self.chev, self.tower, self.chev.m
-            T = np.array(cx.enum_T(self.i), dtype=np.int64)
-            # a torus element's inverse negates the codes on its diagonal
-            T_inv = np.where(T == tw.Q1, tw.Q1, -T % tw.Q1)
-            conj = kern.mat_mul_codes(
-                kern.mat_mul_codes(T, u, m, tw.zech, tw.Q1), T_inv, m, tw.zech, tw.Q1
-            )
-            X = np.array(cx.enum_U(self.i), dtype=np.int64)[:, None]
-            H = kern.mat_mul_codes(X, conj, m, tw.zech, tw.Q1).reshape(-1, m * m)
-            self._h_sets[u] = frozenset(map(tuple, H.tolist()))
+            H = self._h_orbit(u)
+            for v in H:
+                self._h_sets[v] = H
         return self._h_sets[u]
 
     def omega_set(self) -> list:
@@ -223,17 +238,22 @@ class ExtContext:
         classes: dict = {}
         for u in self.U_list:
             classes.setdefault(self.h_set(u), []).append(u)
+        # h_set shares one orbit among its members, which is sound only if
+        # each u's own orbit is its class
+        own = all(self._h_orbit(u) == self.h_set(u) for u in self.U_list)
+        union = frozenset().union(*classes)
         # the classes are pairwise disjoint exactly when their sizes add up
-        # to the size of their union
-        disjoint = sum(map(len, classes)) == len(frozenset().union(*classes))
-        cover = sum(len(v) for v in classes.values()) == len(self.U_list)
+        # to the size of their union, and they partition U_{i+1} when that
+        # union is U_{i+1}
+        disjoint = sum(map(len, classes)) == len(union)
+        cover = union == frozenset(self.U_list)
         contain = all(u in h for h, us in classes.items() for u in us)
         lower = len(self.U_list) // (
             len(self.chev.enum_U(self.i)) * len(self.chev.enum_T(self.i))
         )
         return {
             "num_h_classes": len(classes),
-            "h_partition_ok": disjoint and cover and contain,
+            "h_partition_ok": own and disjoint and cover and contain,
             "h_class_lower_bound": lower,
             "h_class_lower_bound_ok": len(classes) >= lower,
         }
@@ -257,9 +277,26 @@ class ExtContext:
         return int(kern.scan_conj_upper(P, garr, Q, cx.m, tw.zech, tw.Q1,
                                         permuted=permuted))
 
+    def _class_hit(self, u: Mat, garr: np.ndarray, permuted: bool) -> bool:
+        """_scan_hit(u, garr, permuted) >= 0, scanned once per h-class: the
+        verdict is memoized on the class object that h_set shares."""
+        memo = self._class_hits[permuted]
+        H = self.h_set(u)
+        if H not in memo:
+            memo[H] = self._scan_hit(u, garr, permuted) >= 0
+        return memo[H]
+
     def gamma_hit(self, u: Mat) -> bool:
-        """Some noncentral level-i g puts (u.wdot(w0))^-1 . g . u.wdot(w0) in B."""
-        return self._scan_hit(u, self._noncentral_level_i()) >= 0
+        """Some noncentral level-i g puts (u.wdot(w0))^-1 . g . u.wdot(w0) in B.
+
+        The verdict is constant on the h-class of u, so it is scanned once
+        per class.  Write u' = b * u = x.t.u.t^-1 with b = x.t in B_i.  Then
+        u'.wdot(w0) = b.(u.wdot(w0)).s with s = wdot(w0)^-1.t^-1.wdot(w0) in
+        T, so the test for u' with g is the test for u with g' = b^-1.g.b,
+        conjugated by s, which keeps B.  And g -> b^-1.g.b permutes the
+        noncentral elements of G_i.
+        """
+        return self._class_hit(u, self._noncentral_level_i(), False)
 
     def gamma_set(self, jobs: int = 1) -> list:
         if self._gamma is None:
@@ -292,13 +329,20 @@ class ExtContext:
         these cosets make up B^-.N, so the club fails exactly when some g puts
         P.g.u in B.N: for every r, its last r rows are supported on exactly r
         columns.  One scan of the noncentral level-i group tests that.
+
+        The verdict is constant on the h-class of u, so it is scanned once
+        per class.  For u' = b * u = b.u.t^-1 (b = x.t, as in gamma_hit), P'
+        = s^-1.P.b^-1, so P'.g.u' = s^-1.P.(b^-1.g.b).u.t^-1: g -> b^-1.g.b
+        permutes the noncentral elements of G_i, and B.N is stable under
+        left and right multiplication by T (in h terms: B^- and B^-.N are
+        stable under conjugation by T).
         """
         self.require_u(u)
         garr = self._noncentral_level_i()
         if len(garr) > SCAN_BUDGET:
             raise BudgetError("club scan", "membership", "SCAN_BUDGET",
                               SCAN_BUDGET, len(garr), "conjugations")
-        return self._scan_hit(u, garr, permuted=True) < 0
+        return not self._class_hit(u, garr, True)
 
     # -- the alternating average vector -------------------------------------
 

@@ -285,6 +285,27 @@ def test_codes_are_python_ints():
         assert all(type(c) is int for c in bf.u + bf.t + bf.v)
 
 
+@pytest.mark.parametrize("p,rank", [(3, 1), (11, 1), (2, 2), (2, 3)])
+def test_stacked_enumerations_match_object_level_products(p, rank):
+    # enum_B, enum_cell and enum_G against pure-Python mat_mul in the same
+    # order: t-major for B, then u-major (u . wdot(w)) . b for a cell
+    cx = ctx(p, 1, 1, rank)
+    B = [cx.mat_mul(t, u) for t in cx.enum_T(1) for u in cx.enum_U(1)]
+    assert cx.enum_B(1) == B
+    G = []
+    for w in cx.rs.elements:
+        wd = cx.wdot(w)
+        cell = [
+            cx.mat_mul(cx.mat_mul(u, wd), b)
+            for u in cx.enum_U_w(cx.rs.inv(w), 1)
+            for b in B
+        ]
+        assert cx.enum_cell(w, 1) == cell
+        G.extend(cell)
+    assert cx.enum_G(1) == G
+    assert all(type(c) is int for g in G[:: max(1, len(G) // 50)] for c in g)
+
+
 def test_cell_sizes():
     cx = ctx(3, 1, 1, 1)
     counts = {}

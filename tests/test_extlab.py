@@ -319,8 +319,10 @@ def test_identity_cell_absorbed():
 def test_h_sets_contain_their_element():
     ctx = ext_for(3, 1, 2, 1, (1,), (1,), 1)
     for u in ctx.U_list:
-        assert u in ctx.h_set(u)
-        assert ctx.h_set(u) is ctx.h_set(u)  # built once per u
+        H = ctx.h_set(u)
+        assert u in H
+        # built once per class: every member shares the object
+        assert all(ctx.h_set(v) is H for v in H)
 
 
 @pytest.mark.parametrize("p,rank,lam", [(3, 1, (1,)), (7, 1, (1,)), (3, 2, (1, 1))])
@@ -334,6 +336,20 @@ def test_h_set_matches_object_level_loop(p, rank, lam):
             for x in cx.enum_U(1)
         }
         assert ctx.h_set(u) == expect
+
+
+@pytest.mark.parametrize(
+    "p, N, i, classes", [(5, 2, 1, 3), (7, 2, 1, 3), (3, 3, 2, 21)]
+)
+def test_h_classes_partition_the_unipotents(p, N, i, classes):
+    # tori with t != t^-1, where a wrong conjugation t.u.t still gives
+    # disjoint sets, but ones that leave U_{i+1}
+    ctx = ExtContext(chars_for(p, 1, N, 1), (1,), (1,), FS, FS, i)
+    rep = ctx.h_partition_report()
+    assert rep["h_partition_ok"]
+    assert rep["num_h_classes"] == classes
+    U = set(ctx.U_list)
+    assert all(ctx.h_set(u) <= U for u in U)
 
 
 def test_h_partition_flags_overlapping_classes(monkeypatch):
@@ -388,23 +404,52 @@ def test_gamma_matches_longest_word_branch_of_club():
         assert not any(ctx.claim_club(u) for u in gamma)
 
 
-def test_claim_club_is_one_scan_per_u(monkeypatch):
-    ctx = ext_for(3, 1, 3, 1, (1,), (1,), 2)
-    sample = ctx.U_list[:6]
-    expect = [ctx.claim_club(u) for u in sample]
+def test_membership_scans_once_per_h_class(monkeypatch):
+    # gamma_hit and claim_club memoize on the shared h-class: over all of
+    # U_list, one plain and one permuted scan per class
+    ctx = ExtContext(chars_for(3, 1, 3, 1), (1,), (1,), FS, FS, 2)
+    classes = {id(ctx.h_set(u)) for u in ctx.U_list}
     calls = []
     scan = extlab.kern.scan_conj_upper
 
     def counted(*args, **kwargs):
-        calls.append(kwargs)
+        calls.append(kwargs.get("permuted", False))
         return scan(*args, **kwargs)
 
     monkeypatch.setattr(extlab.kern, "scan_conj_upper", counted)
-    for u, club in zip(sample, expect):
-        calls.clear()
-        assert ctx.claim_club(u) == club
-        assert calls == [{"permuted": True}]
-    assert True in expect and False in expect
+    clubs = [ctx.claim_club(u) for u in ctx.U_list]
+    hits = [ctx.gamma_hit(u) for u in ctx.U_list]
+    assert calls.count(True) == len(classes) and calls.count(False) == len(classes)
+    assert len(classes) < len(ctx.U_list)
+    assert True in clubs and False in clubs
+    assert True in hits and False in hits
+
+
+@pytest.mark.parametrize(
+    "p, N, rank, lam, mu, J, K, i",
+    [
+        (3, 3, 1, (1,), (1,), (), (), 2),
+        (2, 2, 2, (0, 0), (0, 0), (1,), (2,), 1),
+    ],
+)
+def test_memoized_verdicts_match_direct_scans(p, N, rank, lam, mu, J, K, i):
+    # the per-class memo against a direct scan of every u; the direct
+    # verdicts are constant on each h-class
+    ctx = ExtContext(chars_for(p, 1, N, rank), lam, mu, frozenset(J), frozenset(K), i)
+    garr = ctx._noncentral_level_i()
+    by_class: dict = {}
+    for u in ctx.U_list:
+        gamma = ctx._scan_hit(u, garr) >= 0
+        club = ctx._scan_hit(u, garr, permuted=True) < 0
+        assert (ctx.gamma_hit(u), ctx.claim_club(u)) == (gamma, club)
+        by_class.setdefault(ctx.h_set(u), set()).add((gamma, club))
+    assert all(len(v) == 1 for v in by_class.values())
+    assert len(by_class) > 1
+    omega = ctx.omega_set()
+    assert omega
+    if rank == 2:
+        # the first A2 grid with a nonempty omega: 24 u in 3 classes
+        assert len(omega) == 24 and len({id(ctx.h_set(u)) for u in omega}) == 3
 
 
 # -- the alternating-average vector -------------------------------------------

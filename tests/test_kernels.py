@@ -339,6 +339,47 @@ def test_permuted_scan_first_hit_past_first_chunk(monkeypatch):
     assert _all_hits(cx, P, garr, Q, permuted=True) == expect
 
 
+@pytest.mark.parametrize("permuted", [False, True])
+def test_growing_chunks_find_the_first_hit(monkeypatch, permuted):
+    # SCAN_CHUNK = 8 gives chunks of 1, 2, 4, 8, 8, ... rows from `start`;
+    # from 0 their boundaries are 1, 3, 7, 15, 23, 31, 39
+    monkeypatch.setattr(kern, "SCAN_CHUNK", 8)
+    cx = chev_for(5, 1, 1)
+    tw, G = cx.tower, cx.enum_G(1)
+    P, Q = G[7], G[-3]
+
+    def hit(g) -> bool:
+        if permuted:
+            return _permuted_oracle(cx, P, g, Q)
+        return cx.is_upper_triangular(cx.mat_prod([P, g, Q]))
+
+    hits = [g for g in G if hit(g)]
+    misses = [g for g in G if not hit(g)]
+    assert len(hits) > 1 and len(misses) >= 40
+    # the first hit at 0, just before a boundary (2, 6), on one (3, 7),
+    # past several (30), or nowhere; a second hit later at 36
+    for first in (0, 2, 3, 6, 7, 30, None):
+        rows = misses[:40]
+        for pos, g in ((first, hits[0]), (36, hits[1])):
+            if pos is not None:
+                rows[pos] = g
+        garr = _codes(rows)
+        for start in (0, 1, 4, 31, 37):
+            expect = next(
+                (i for i in range(start, len(rows)) if hit(rows[i])), -1
+            )
+            got = kern.scan_conj_upper(
+                _codes(P), garr, _codes(Q), cx.m, tw.zech, tw.Q1, start,
+                permuted=permuted,
+            )
+            assert got == expect, (first, start)
+    only_misses = _codes(misses[:40])
+    assert kern.scan_conj_upper(
+        _codes(P), only_misses, _codes(Q), cx.m, tw.zech, tw.Q1,
+        permuted=permuted,
+    ) == -1
+
+
 # (p, N, rank, level k); each draw is either a hit built as P^-1.b.wdot(w).u^-1
 # for b in B_k, or any g = b.wdot(w).b' of G_k (each Bruhat cell reached)
 PERMUTED_GROUPS = [(3, 2, 1, 1), (3, 2, 1, 2), (2, 2, 2, 1), (2, 2, 2, 2), (2, 1, 3, 1)]
