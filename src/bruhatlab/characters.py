@@ -85,12 +85,7 @@ class Characters:
         ]
         self._iota_arr: np.ndarray | None = None
 
-    # -- scalar embedding -------------------------------------------------
-
-    def iota(self, x: int) -> int:
-        if x == self.tower.ZERO:
-            raise ValueError("iota of zero")
-        return self._iota[x]
+    # -- exponents -------------------------------------------------------
 
     def normalize(self, theta) -> tuple[int, ...]:
         theta = tuple(int(e) % self.coeff.modulus for e in theta)
@@ -126,11 +121,6 @@ class Characters:
     def eval(self, theta, t: Mat) -> int:
         return self.eval_diag(theta, self.chev.diag_of(t))
 
-    def eval_B(self, theta, b: Mat) -> int:
-        if not self.chev.is_upper_triangular(b):
-            raise ValueError("element not in the Borel subgroup")
-        return self.eval_diag(theta, self.chev.diag_of(b))
-
     # -- triviality loci ---------------------------------------------------------
 
     def i_theta(self, theta, k: int | None = None) -> frozenset[int]:
@@ -140,12 +130,6 @@ class Characters:
         mk = self.tower.level_size(k) - 1
         return frozenset(
             i for i in self.rs.I if theta[i - 1] % mk == 0
-        )
-
-    def level_consistent(self, theta) -> bool:
-        top = self.i_theta(theta, self.tower.N)
-        return all(
-            self.i_theta(theta, k) == top for k in range(1, self.tower.N + 1)
         )
 
     def eval_parabolic(self, theta, Jp, P) -> np.ndarray:

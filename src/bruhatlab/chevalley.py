@@ -9,9 +9,11 @@ parabolic subsets and centers at each tower level.
 Two decompositions run the same pivot elimination.  `bruhat_cells` is the
 one used by module actions: it returns (w, u, t) for a whole code array at
 once.  `bruhat_form` takes one element, also builds the right factor v, and
-serves `rank1_constants`, `reassemble` and the per-element test oracles.
+serves `rank1_constants` and the per-key `ModuleContext.act_key` oracle.
 `peel_unipotents` splits a stack of unipotents on Phi_x^- for the induced
-module's coset keys; the scalar `peel_unipotent` is its oracle.
+module's coset keys.  The one-element references the tests check these
+against (the scalar peel, the determinant, the reassembled Bruhat product)
+live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -103,27 +105,6 @@ class Chevalley:
                     R[r] = [tw.sub(x, tw.mul(f, y)) for x, y in zip(R[r], R[col])]
         return tuple(x for row in R for x in row)
 
-    def det(self, A: Mat):
-        tw, m = self.tower, self.m
-        M = [list(A[i * m : (i + 1) * m]) for i in range(m)]
-        acc = tw.ONE
-        for col in range(m):
-            piv = next(
-                (r for r in range(col, m) if M[r][col] != tw.ZERO), None
-            )
-            if piv is None:
-                return tw.ZERO
-            if piv != col:
-                M[col], M[piv] = M[piv], M[col]
-                acc = tw.neg(acc)
-            acc = tw.mul(acc, M[col][col])
-            inv = tw.inv(M[col][col])
-            for r in range(col + 1, m):
-                if M[r][col] != tw.ZERO:
-                    f = tw.mul(M[r][col], inv)
-                    M[r] = [tw.sub(x, tw.mul(f, y)) for x, y in zip(M[r], M[col])]
-        return acc
-
     # -- generators --------------------------------------------------------
 
     def eps(self, pair, c) -> Mat:
@@ -194,12 +175,6 @@ class Chevalley:
                     return False
         return True
 
-    def is_upper_triangular(self, A: Mat) -> bool:
-        tw, m = self.tower, self.m
-        return all(
-            A[i * m + j] == tw.ZERO for i in range(m) for j in range(i)
-        )
-
     def in_level(self, A: Mat, k: int) -> bool:
         return all(self.tower.in_level(x, k) for x in A)
 
@@ -216,29 +191,6 @@ class Chevalley:
                 for i in range(m)
             )
         return self._wdot_inv_cache[key]
-
-    def peel_unipotent(self, R: list, x: WeylElt) -> Mat:
-        """Split unitriangular rows R in place as u * R' with u supported on
-        Phi_x^- positions only; return u and leave R' in R.  The one-element
-        oracle of peel_unipotents.
-
-        Peeling in ascending height lets disturbances flow upward only, so
-        R' ends up zero at every Phi_x^- position; phi_minus_pairs keeps the
-        order of rs.pos_pairs, ascending height and then by row.
-        """
-        tw, m = self.tower, self.m
-        u = list(self.identity)
-        for a, b in self.rs.phi_minus_pairs(x):
-            c = R[a][b]
-            if c == tw.ZERO:
-                continue
-            Ra, Rb = R[a], R[b]
-            for j2 in range(b, m):
-                Ra[j2] = tw.sub(Ra[j2], tw.mul(c, Rb[j2]))
-            # u <- u * eps((a, b), c): add c times column a to column b
-            for i in range(a + 1):
-                u[i * m + b] = tw.add(u[i * m + b], tw.mul(c, u[i * m + a]))
-        return tuple(u)
 
     def bruhat_form(self, g: Mat) -> BruhatForm:
         tw, m = self.tower, self.m
@@ -361,12 +313,12 @@ class Chevalley:
         return widx, U.reshape(n, m * m), t
 
     def peel_unipotents(self, U, widx) -> tuple:
-        """peel_unipotent on every row of an (n, m*m) code array U of upper
-        unitriangular matrices, row r on Phi_{w^-1}^- for w =
-        rs.elements[widx[r]].  Returns the code arrays (u, R) with U = u R
-        row by row, u supported on Phi_{w^-1}^- and R zero there.  The
-        positive pairs are in ascending height, then by row, so each row
-        peels in the order of peel_unipotent."""
+        """Split every row of an (n, m*m) code array U of upper
+        unitriangular matrices on Phi_{w^-1}^-, w = rs.elements[widx[r]] for
+        row r.  Returns the code arrays (u, R) with U = u R row by row, u
+        supported on Phi_{w^-1}^- and R zero there.  The positive pairs are
+        peeled in ascending height, then by row, so disturbances flow upward
+        only and R ends up zero at every peeled position."""
         tw, m = self.tower, self.m
         mul, add = self._mul_codes, self._add_codes
         phi = self._cells_tables()[2][widx]
@@ -384,9 +336,6 @@ class Chevalley:
 
     def _add_codes(self, a, b):
         return kern._code_add(a, b, self.tower.zech, self.tower.Q1)
-
-    def reassemble(self, bf: BruhatForm) -> Mat:
-        return self.mat_prod([bf.u, self.wdot(bf.w), self.torus(bf.t), bf.v])
 
     # -- rank-1 structure constants ---------------------------------------------
 

@@ -98,8 +98,7 @@ def nullspace_coeffs(rows, ell: int):
 def subspace_intersection(A: Subspace, B: Subspace) -> Subspace:
     rowsA = A.basis_matrix()
     out = Subspace(A.D, A.ell)
-    for coeffs in nullspace_coeffs(B.residue(rowsA), A.ell):
-        out.insert(coeffs @ rowsA)
+    out.extend(coeffs @ rowsA for coeffs in nullspace_coeffs(B.residue(rowsA), A.ell))
     return out
 
 
@@ -173,8 +172,7 @@ class ExtContext:
     def S_subspace(self) -> Subspace:
         if self._S is None:
             S = Subspace(self.mu_ctx.D, self.ell)
-            for row in self.class_of(self._U_times(self.chev.identity, self.w0dot)):
-                S.insert(row)
+            S.extend(self.class_of(self._U_times(self.chev.identity, self.w0dot)))
             self._S = S
         return self._S
 
@@ -509,8 +507,7 @@ class ExtContext:
             for t in pair.action_tables(gens)
         )
         image = Subspace(self.mu_ctx.D, self.ell)
-        for row in basis[:, Dl:]:
-            image.insert(row)
+        image.extend(basis[:, Dl:])
         level_i_dim = ModuleContext(self.chars, self.lam, self.i).e_module(
             self.J
         ).dim
@@ -557,10 +554,10 @@ class ExtContext:
         # f_i(M_i): lambda-block rows are twisted by the map, mu-block rows kept
         lam_basis, mu_basis = lam_sub.basis_matrix(), mu_sub.basis_matrix()
         f_image = Subspace(pair.D, ell)
-        for row in np.hstack([lam_basis, graph.apply(lam_basis)]):
-            f_image.insert(row)
-        for row in mu_basis:
-            f_image.insert(np.concatenate([np.zeros(Dl, dtype=np.int64), row]))
+        f_image.extend(np.vstack([
+            np.hstack([lam_basis, graph.apply(lam_basis)]),
+            np.hstack([np.zeros((len(mu_basis), Dl), dtype=np.int64), mu_basis]),
+        ]))
 
         # fixed vectors of the level-(i+1) unipotent attached to w_J: the
         # combinations of the class bases that every fixing generator fixes
@@ -580,8 +577,7 @@ class ExtContext:
             for t in pair.action_tables(fix_gens)
         ])
         fixed = Subspace(pair.D, ell)
-        for coeffs in nullspace_coeffs(diff, ell):
-            fixed.insert(coeffs @ big)
+        fixed.extend(coeffs @ big for coeffs in nullspace_coeffs(diff, ell))
 
         meet = subspace_intersection(f_image, fixed).basis_matrix()
         contained = not meet[:, :Dl].any() and mu_sub.contains(meet[:, Dl:])
@@ -745,10 +741,7 @@ class SynthExtension:
         self.c0, self.a, self.b = blocks.c0, blocks.a, blocks.b
         self.c0_mat = conj(blocks.c0_block)
         self.sub = Subspace(n, self.ell)
-        for jj in range(self.dm):
-            e = np.zeros(n, dtype=np.int64)
-            e[self.dl + jj] = 1
-            self.sub.insert(e)
+        self.sub.extend(np.eye(n, dtype=np.int64)[self.dl:])
         self.n = n
 
 
@@ -762,8 +755,7 @@ def central_split(ext: SynthExtension) -> dict:
     cols = [T[:, j] % ell for j in range(ext.n)]
     eigen_rows = nullspace_coeffs(cols, ell)
     eigen = Subspace(ext.n, ell)
-    for v in eigen_rows:
-        eigen.insert(v)
+    eigen.extend(eigen_rows)
     basis = eigen.basis_matrix()
     stable = all(eigen.contains(basis @ Mb.T) for Mb in ext.gens)
     total = eigen.union(ext.sub)

@@ -6,9 +6,11 @@ set of x -> x^{q^{k!}}, so all subfield embeddings are identities.
 Scalar representation: an element is a plain int "code".  Nonzero elements are
 codes 0 <= c < Q-1 meaning g^c for the canonical ambient generator g; zero is
 the code Q-1 (tower.ZERO).  Multiplication and inversion are index arithmetic
-mod Q-1; addition goes through a Zech logarithm table.  Codes convert to the
-canonical polynomial representation (coeffs mod the lexicographically least
-monic irreducible) via tower.coeffs / tower.from_coeffs.
+mod Q-1; addition goes through a Zech logarithm table.  exp_table and
+log_table convert codes to and from the canonical polynomial representation
+(coefficients mod the lexicographically least monic irreducible), packed as
+base-p integers.  The test oracles in tests/oracles.py read them: coeffs,
+from_coeffs, frobenius, level_of and dlog.
 """
 
 from __future__ import annotations
@@ -220,17 +222,14 @@ class FieldTower:
             k: self.Q1 // (sz - 1) if sz > 1 else 0
             for k, sz in self._level_size.items()
         }
-        self._gen_code: dict[int, int] = {}
-        self._dlog: dict[int, dict[int, int]] = {}
-        for k in range(1, N + 1):
-            self._init_level(k)
+        self._gen_code = {k: self._level_generator(k) for k in range(1, N + 1)}
 
-    def _init_level(self, k: int) -> None:
+    def _level_generator(self, k: int) -> int:
+        """The code of the level-k generator: of the elements of order
+        q^{k!}-1, the one with the least packed polynomial."""
         m = self._level_size[k] - 1  # multiplicative order of the level
         if m == 1:
-            self._gen_code[k] = self.ONE
-            self._dlog[k] = {self.ONE: 0}
-            return
+            return self.ONE
         s = self._stride[k]
         best = None
         for j in range(1, m):
@@ -239,14 +238,7 @@ class FieldTower:
                 packed = int(self.exp_table[code])
                 if best is None or packed < best[0]:
                     best = (packed, code)
-        gen = best[1]
-        self._gen_code[k] = gen
-        table = {}
-        c = self.ONE
-        for e in range(m):
-            table[c] = e
-            c = (c + gen) % self.Q1
-        self._dlog[k] = table
+        return best[1]
 
     # -- scalar ops ------------------------------------------------------
 
@@ -285,14 +277,6 @@ class FieldTower:
             return self.ZERO
         return (x * (e % self.Q1)) % self.Q1 if self.Q1 > 1 else self.ONE
 
-    def frobenius(self, x: int, j: int) -> int:
-        """x -> x^{q^j}; frobenius(., N!) is the identity."""
-        if x == self.ZERO:
-            return x
-        if self.Q1 == 1:
-            return x
-        return (x * pow(self.q, j, self.Q1)) % self.Q1
-
     # -- level structure ---------------------------------------------------
 
     def level_size(self, k: int) -> int:
@@ -317,23 +301,9 @@ class FieldTower:
         s = self._stride[k]
         return x == self.ONE if s == 0 else x % s == 0
 
-    def level_of(self, x: int) -> int:
-        for k in range(1, self.N + 1):
-            if self.in_level(x, k):
-                return k
-        raise AssertionError("element outside every level (impossible)")
-
     def generator(self, k: int) -> int:
         """Canonically-least element of level k of multiplicative order q^{k!}-1."""
         return self._gen_code[k]
-
-    def dlog(self, x: int, k: int) -> int:
-        if x == self.ZERO:
-            raise ValueError("dlog of zero")
-        try:
-            return self._dlog[k][x]
-        except KeyError:
-            raise ValueError(f"element not in level {k}") from None
 
     def field_basis(self, k: int) -> list[int]:
         """F_p-basis of level k: first a*k! powers of generator(k)."""
@@ -345,19 +315,7 @@ class FieldTower:
         # power of a nonzero element, exponent >= 0
         return (x * e) % self.Q1 if self.Q1 > 1 else self.ONE
 
-    # -- representation views ---------------------------------------------
-
-    def coeffs(self, x: int) -> tuple[int, ...]:
-        """Canonical polynomial coefficients (c_0, .., c_{d-1}) of the element."""
-        packed = 0 if x == self.ZERO else int(self.exp_table[x])
-        return tuple(_digits(packed, self.p, self.d))
-
-    def from_coeffs(self, coeffs) -> int:
-        packed = _pack(list(coeffs), self.p)
-        return int(self.log_table[packed]) if packed else self.ZERO
-
-    def packed(self, x: int) -> int:
-        return 0 if x == self.ZERO else int(self.exp_table[x])
+    # -- canonical order ---------------------------------------------------
 
     def scalar_index(self, x: int) -> int:
         """Canonical enumeration index: zero first, then by ambient dlog."""

@@ -9,13 +9,15 @@ The action of any group element is monomial on this basis (it permutes keys
 and scales by a character value), which makes spans and spin-up closures
 cheap dense row-reduction over F_ell.  Spun submodules, their sums, and the
 resulting quotients (with canonical coset representatives given by echelon
-reduction) realize the generated-submodule and simple-quotient constructions;
-an induced-from-parabolic realization with coset bases is provided alongside,
-with a generator whose spin is compared against the quotient dimension.  Both
-realizations share one base, `KeyedModule`, whose one stacked action runs
+reduction) realize the generated-submodule and simple-quotient constructions.
+One class, `KeyedModule(chars, theta, k, J')`, is both realizations: the
+Bruhat module (`ModuleContext`) has J' empty, and `check_socle` spins a
+generator inside the module induced from the parabolic of J' = I(theta) - J
+and compares its dimension with the quotient's.  Its one stacked action runs
 every (group element, key) pair of a call through one batched product and
 one Bruhat-cell pass, with one `_locate` naming the key and scale of each
-product; the two realizations differ only in J' (empty for the Bruhat basis).
+product.  The per-element references the tests compare these against live
+in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -69,6 +71,12 @@ class Subspace:
         v %= self.ell
         return int(kern.echelon_insert(self.rows, self.have, v, self.ell))
 
+    def extend(self, stack) -> np.ndarray:
+        """Insert every row of a (k, D) stack, or of any iterable of vectors,
+        in order; the pivot of each row, -1 for a row that was already in
+        the span.  Every row goes through `insert`."""
+        return np.array([self.insert(row) for row in stack], dtype=np.int64)
+
     def residue(self, vec) -> np.ndarray:
         """Canonical representative of vec modulo this subspace: it depends
         only on the coset of vec, and is linear in vec.  A (k, D) stack is
@@ -96,15 +104,9 @@ class Subspace:
             return None
         return -res[..., n:] % self.ell
 
-    def pivots(self) -> list[int]:
-        return [int(c) for c in np.nonzero(self.have)[0]]
-
     def basis_matrix(self) -> np.ndarray:
         """The basis rows, in pivot order, as one (dim, width) array."""
         return self.rows[np.flatnonzero(self.have)]
-
-    def basis(self) -> list[np.ndarray]:
-        return list(self.basis_matrix())
 
     def copy(self) -> "Subspace":
         out = Subspace(self.D, self.ell, self.rows.shape[1] - self.D)
@@ -114,8 +116,7 @@ class Subspace:
 
     def union(self, other: "Subspace") -> "Subspace":
         out = self.copy()
-        for row in other.basis():
-            out.insert(row)
+        out.extend(other.basis_matrix())
         return out
 
     def leq(self, other: "Subspace") -> bool:
@@ -144,9 +145,10 @@ class KeyedModule:
     The action is written once, on code arrays: `_images` multiplies paired
     group elements and keys in one batched product and hands the products
     h = g * key to `_locate(H)`, which names the key and scale of each h in
-    one stacked Bruhat-cell pass.  `act`, `act_stack`, `act_sum`,
-    `action_table` and `action_tables` are built on it.  The per-key
-    `act_key` of each realization, through bruhat_form, is its oracle.
+    one stacked Bruhat-cell pass.  `act_stack`, `act_sum`, `action_table`
+    and `action_tables` are built on it.  Its per-key oracles go through
+    bruhat_form one element at a time: `ModuleContext.act_key` for J' empty,
+    and `induced_act_key` in tests/oracles.py for the induced module.
     """
 
     def __init__(self, chars: Characters, theta, k: int, Jp=frozenset()):
@@ -267,9 +269,6 @@ class KeyedModule:
         if (digits < 0).any():
             raise ValueError(f"image key has entries outside level {self.k}")
         return self._offset[widx] + (digits * self._weight[widx]).sum(axis=1)
-
-    def act(self, g: Mat, vec: dict) -> dict:
-        return self.from_dense(self.act_stack([g], self.to_dense(vec))[0])
 
     def _act_terms(self, G, dense) -> tuple:
         """The terms of g . dense for every row g of an (n, m*m) code array G
@@ -399,23 +398,12 @@ class ModuleContext(KeyedModule):
         self._straightening: dict = {}
 
     def act_key(self, g: Mat, key):
-        """g . key one key at a time through bruhat_form: the oracle of _locate."""
+        """g . key one key at a time through bruhat_form: the oracle of
+        _locate.  Only the tests call it; it stays here because the
+        benchmark's tracer wraps it, and moves to tests/oracles.py with the
+        other oracles once the tracer no longer does."""
         bf = self.chev.bruhat_form(self.chev.mat_mul(g, self.key_mat(key)))
         return (bf.w, bf.u), self.chars.eval_diag(self.theta, bf.t)
-
-    # -- serialization -------------------------------------------------------
-
-    def key_json(self, key) -> list:
-        w, u = key
-        pairs = self.rs.phi_minus_pairs(self.rs.inv(w))
-        entries = [
-            self.tower.scalar_index(u[a * self.chev.m + b]) for a, b in pairs
-        ]
-        return [list(w.word), entries]
-
-    def vec_json(self, vec: dict) -> list:
-        items = sorted(vec.items(), key=lambda kv: self.key_index[kv[0]])
-        return [[self.key_json(key), int(c)] for key, c in items]
 
     # -- simple quotients -----------------------------------------------------
 
@@ -466,7 +454,7 @@ class ModuleContext(KeyedModule):
         ]
         span = Subspace(self.D, self.ell)
         imgs = em.project(self.act_stack(gs, self.to_dense(self.eta(J))))
-        independent = min([span.insert(img) for img in imgs], default=0) >= 0
+        independent = bool((span.extend(imgs) >= 0).all())
         num = len(gs)
         predicted = self.predicted_dim(J)
         report = {
@@ -578,25 +566,8 @@ class EModule:
         # echelon rows of the projected span; each row is a canonical
         # representative since residues are closed under linear combinations
         span = Subspace(self.D, self.ell)
-        for row in self.project(self.M.basis_matrix()):
-            span.insert(row)
+        span.extend(self.project(self.M.basis_matrix()))
         return span.basis_matrix()
-
-    def simplicity_probe(self, samples: int = 5) -> bool:
-        """Spin random nonzero classes; True if each regenerates all of M_J mod N."""
-        rng = random.Random(_STABILITY_SEED + 1)
-        reps = [row for row in self.M.basis() if not self.N.contains(row)]
-        if not reps:
-            return self.dim == 0
-        for _ in range(samples):
-            vec = rng.choice(reps).copy()
-            vec = (vec + rng.randrange(1, self.ctx.ell) * rng.choice(reps)) % self.ctx.ell
-            if self.N.contains(vec):
-                continue
-            S = self.ctx.spin([self.ctx.from_dense(vec)])
-            if S.union(self.N).dim != self.M.dim:
-                return False
-        return True
 
 
 def level_generators(chev, k: int) -> list[Mat]:
@@ -630,12 +601,11 @@ def spin_closure(mod, seeds, gens=None) -> Subspace:
     `gens` is None: given generators may generate a smaller group.
     """
     S = Subspace(mod.D, mod.ell)
-    queue = []
-    for seed in seeds:
-        dense = mod.to_dense(seed) if isinstance(seed, dict) else np.array(seed)
-        piv = S.insert(dense)
-        if piv >= 0:
-            queue.append(S.rows[piv].copy())
+    piv = S.extend(
+        mod.to_dense(seed) if isinstance(seed, dict) else np.array(seed)
+        for seed in seeds
+    )
+    queue = [S.rows[p].copy() for p in piv[piv >= 0]]
     tables = mod.action_tables(mod.generators() if gens is None else gens)
     while queue and S.dim < mod.D:
         vec = queue.pop()
@@ -677,46 +647,17 @@ class DirectSum:
         )
 
 
-class InducedContext(KeyedModule):
-    """Induction from the parabolic fixed by J' = I(theta) - J: basis indexed
-    by canonical coset representatives u * wdot(x), x minimal in x W_{J'}."""
-
-    def __init__(self, chars: Characters, theta, J, k: int):
-        self.J = J = frozenset(J)
-        itheta = chars.i_theta(chars.normalize(theta))
-        if not J <= itheta:
-            raise ValueError("J must be contained in I(theta)")
-        super().__init__(chars, theta, k, itheta - J)
-
-    def coset_key(self, g: Mat):
-        """Canonical basis key of the coset g P_{J'}, through bruhat_form and
-        peel_unipotent: the one-element oracle of _locate."""
-        cx, rs, m = self.chev, self.rs, self.chev.m
-        bf = cx.bruhat_form(g)
-        x = rs.elements[self._min_reps[rs.elements.index(bf.w)]]
-        R = [list(bf.u[i * m : (i + 1) * m]) for i in range(m)]
-        return (x, cx.peel_unipotent(R, rs.inv(x)))
-
-    def act_key(self, g: Mat, key):
-        """g . key one key at a time: the oracle of _locate."""
-        cx = self.chev
-        gk = cx.mat_mul(g, self.key_mat(key))
-        key2 = self.coset_key(gk)
-        bf = cx.bruhat_form(cx.mat_mul(cx.mat_inv(self.key_mat(key2)), gk))
-        assert set(bf.w.word) <= self.Jp, "key^-1 g key outside P_J'"
-        return key2, self.chars.eval_diag(self.theta, bf.t)
-
-
 def check_socle(ctx: ModuleContext, J) -> dict:
     """Spin the alternating generator inside the induced module and compare
     its dimension with the quotient dimension from the Bruhat-basis side.
     The module context is the caller's, so one context serves every J."""
-    em = ctx.e_module(J)
-    nb = InducedContext(ctx.chars, ctx.theta, J, ctx.k)
-    sub = nb.spin([nb.eta(nb.J)])
+    J = frozenset(J)
+    em = ctx.e_module(J)  # refuses a J outside I(theta)
+    nb = KeyedModule(ctx.chars, ctx.theta, ctx.k, ctx.i_theta() - J)
+    sub = nb.spin([nb.eta(J)])
     report = {
         "theta": list(ctx.theta),
-        "J": sorted(frozenset(J)),
+        "J": sorted(J),
         "level": ctx.k,
         "nabla_dim": nb.D,
         "socle_generator_spin_dim": sub.dim,
@@ -763,19 +704,3 @@ def scalar_convention(fwd_ok: bool, bwd_ok: bool, case_i: int) -> dict:
         "ambiguous": convention == "both",
         "ok": convention != "neither",
     }
-
-
-def calibrate_scalar_convention(contexts, Js=None) -> dict:
-    """Decide the torus-twist convention in the shorter-case formula by
-    scanning every applicable (J, i, w, x) across the given module contexts."""
-    fwd_ok, bwd_ok, case_i = True, True, 0
-    for ctx in contexts:
-        for J, i, w, x in straightening_instances(ctx, Js):
-            # s_i w and w differ in length by one: the shorter case is case (i)
-            if ctx.rs.mul(ctx.rs.s(i), w).length > w.length:
-                continue
-            rep = ctx.verify_straightening(J, i, w, x)
-            case_i += 1
-            fwd_ok = fwd_ok and rep["matches_fwd"]
-            bwd_ok = bwd_ok and rep["matches_bwd"]
-    return scalar_convention(fwd_ok, bwd_ok, case_i)

@@ -99,12 +99,6 @@ class RootSystem:
             out[wa] = a
         return self._by_perm[tuple(out)]
 
-    def from_word(self, word) -> WeylElt:
-        w = self.e
-        for i in word:
-            w = self.mul(w, self.s(i))
-        return w
-
     # -- root actions ----------------------------------------------------
 
     def act_pair(self, w: WeylElt, ab) -> tuple[int, int]:
@@ -113,14 +107,6 @@ class RootSystem:
 
     def pair_is_positive(self, ab) -> bool:
         return ab[0] < ab[1]
-
-    def phi_minus(self, w: WeylElt) -> list[tuple[int, ...]]:
-        """Positive roots sent negative by w, in canonical order."""
-        return [
-            self.pos_roots[k]
-            for k, ab in enumerate(self.pos_pairs)
-            if not self.pair_is_positive(self.act_pair(w, ab))
-        ]
 
     def phi_minus_pairs(self, w: WeylElt) -> list[tuple[int, int]]:
         return [
@@ -136,21 +122,13 @@ class RootSystem:
             if self.pair_is_positive(self.act_pair(w, ab))
         ]
 
-    # -- length, descents, Bruhat order ------------------------------------
+    # -- length and descents ------------------------------------
 
     def descents(self, w: WeylElt) -> frozenset[int]:
         """Right descents {i : l(w s_i) < l(w)}."""
         return frozenset(
             i for i in self.I if w.perm[i - 1] > w.perm[i]
         )
-
-    def bruhat_leq(self, x: WeylElt, y: WeylElt) -> bool:
-        if x.length > y.length:
-            return False
-        for idxs in itertools.combinations(range(y.length), x.length):
-            if self.from_word(y.word[k] for k in idxs) == x:
-                return True
-        return False
 
     # -- parabolic combinatorics -------------------------------------------
 

@@ -16,12 +16,9 @@ from bruhatlab.characters import Characters
 from bruhatlab.chevalley import Chevalley
 from bruhatlab.extlab import ExtContext, SynthExtension, central_split
 from bruhatlab.fieldtower import build_tower
-from bruhatlab.modules import (
-    ModuleContext,
-    calibrate_scalar_convention,
-    check_socle,
-)
+from bruhatlab.modules import ModuleContext, check_socle
 from bruhatlab.rootdata import build_A
+from oracles import calibrate_scalar_convention
 
 FS = frozenset()
 

@@ -14,6 +14,7 @@ import pytest
 
 from bruhatlab import cli, extlab, modules
 from bruhatlab.cli import RunConfig, build_chars, level_char_grid, main
+from oracles import calibrate_scalar_convention
 
 
 def run(tmp_path, *args):
@@ -106,7 +107,7 @@ def test_straightening_calibration_matches_library(tmp_path, group, p, k, case_i
         modules.ModuleContext(chars, theta, k)
         for theta in level_char_grid(chars, k)
     ]
-    assert rep["calibration"] == modules.calibrate_scalar_convention(contexts)
+    assert rep["calibration"] == calibrate_scalar_convention(contexts)
     assert rep["calibration"]["case_i_instances"] == case_i
     assert sum(pt["case_i"] for pt in rep["points"]) == case_i
     assert code == 0

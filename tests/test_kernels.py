@@ -25,6 +25,7 @@ from bruhatlab.extlab import ExtContext
 from bruhatlab.fieldtower import build_tower
 from bruhatlab.modules import Subspace
 from bruhatlab.rootdata import build_A
+from oracles import is_upper_triangular, pivots
 
 FS = frozenset()
 
@@ -100,7 +101,7 @@ def test_residue_idempotent_linear_and_constant_on_cosets(case):
 def test_rows_are_reduced_row_echelon(case):
     ell, D, gens, _, _ = case
     S = _span(ell, D, gens)
-    live = S.pivots()
+    live = pivots(S)
     assert S.dim == len(live) == _rank_mod(gens, ell)
     for c in range(D):
         row = S.rows[c]
@@ -131,6 +132,50 @@ def test_stacked_residue_equals_row_by_row(case):
     expect = np.array([S.residue(row) for row in stack])
     assert np.array_equal(S.residue(stack), expect)
     assert S.contains(stack) == all(S.contains(row) for row in stack)
+
+
+def _extend_matches_insert(ell, D, base, stack) -> list:
+    """extend on a span of base gives the rows, pivot flags and pivots of
+    inserting the stack one row at a time; returns those pivots."""
+    by_row, stacked = _span(ell, D, base), _span(ell, D, base)
+    want = [by_row.insert(row) for row in stack]
+    got = stacked.extend(stack)
+    assert got.dtype == np.int64 and got.tolist() == want
+    assert np.array_equal(stacked.rows, by_row.rows)
+    assert np.array_equal(stacked.have, by_row.have)
+    return want
+
+
+@pytest.mark.parametrize("ell, D, seed", [(2, 6, 0), (7, 5, 1), (11, 9, 2)])
+def test_extend_equals_row_by_row_insert(ell, D, seed):
+    # random rows, then a combination of two of them, a repeated row given
+    # unreduced, and the zero row; into an empty and a nonempty subspace
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, ell, size=(D - 2, D))
+    stack = np.vstack([
+        rows,
+        (3 * rows[0] + rows[1]) % ell,
+        rows[2] + ell,
+        np.zeros((1, D), dtype=np.int64),
+    ])
+    assert _extend_matches_insert(ell, D, [], stack).count(-1) >= 3
+    _extend_matches_insert(ell, D, list(rows[:2]), stack)
+    # the empty stack inserts nothing
+    S = _span(ell, D, list(rows))
+    rows_before, have_before = S.rows.copy(), S.have.copy()
+    piv = S.extend(np.zeros((0, D), dtype=np.int64))
+    assert piv.shape == (0,) and piv.dtype == np.int64
+    assert np.array_equal(S.rows, rows_before)
+    assert np.array_equal(S.have, have_before)
+
+
+@settings(max_examples=200, deadline=None)
+@given(subspace_cases())
+def test_extend_equals_row_by_row_insert_property(case):
+    ell, D, gens, (x, y, _), _ = case
+    half = len(gens) // 2
+    stack = gens[half:] + [x, y, x, (x + y) % ell, np.zeros(D, dtype=np.int64)]
+    _extend_matches_insert(ell, D, gens[:half], np.array(stack))
 
 
 def test_echelon_py_rank_semantics():
@@ -246,14 +291,14 @@ def _all_hits(cx, P, garr, Q, permuted=False) -> list:
 def _oracle_hits(cx, P, G, Q) -> list:
     return [
         i for i, g in enumerate(G)
-        if cx.is_upper_triangular(cx.mat_prod([P, g, Q]))
+        if is_upper_triangular(cx, cx.mat_prod([P, g, Q]))
     ]
 
 
 def _permuted_oracle(cx, P, g, Q) -> bool:
     """Some w in W makes P.g.Q.wdot(w) upper triangular."""
     return any(
-        cx.is_upper_triangular(cx.mat_prod([P, g, Q, cx.wdot(w)]))
+        is_upper_triangular(cx, cx.mat_prod([P, g, Q, cx.wdot(w)]))
         for w in cx.rs.elements
     )
 
@@ -351,7 +396,7 @@ def test_growing_chunks_find_the_first_hit(monkeypatch, permuted):
     def hit(g) -> bool:
         if permuted:
             return _permuted_oracle(cx, P, g, Q)
-        return cx.is_upper_triangular(cx.mat_prod([P, g, Q]))
+        return is_upper_triangular(cx, cx.mat_prod([P, g, Q]))
 
     hits = [g for g in G if hit(g)]
     misses = [g for g in G if not hit(g)]
@@ -419,7 +464,7 @@ def test_club_and_gamma_match_object_level_oracle(p, rank, lam):
     G = [g for g in cx.enum_G(1) if g not in central]
 
     def conj_hit(P, Q) -> bool:
-        return any(cx.is_upper_triangular(cx.mat_prod([P, g, Q])) for g in G)
+        return any(is_upper_triangular(cx, cx.mat_prod([P, g, Q])) for g in G)
 
     gamma_oracle = []
     for u in ctx.U_list:
