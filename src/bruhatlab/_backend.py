@@ -2,11 +2,12 @@
 
 Conventions:
   * F_ell vectors are numpy int64 arrays with entries in [0, ell).
-  * An echelon basis is a square-or-wider array `rows` (D x W, W >= D) plus a
-    uint8 flag vector `have` of length D: have[c] says rows[c] is live with
-    pivot column c and pivot value 1.  Live rows are in reduced row echelon
-    form: each is zero in every other live pivot column, and dead rows are
-    zero.  Columns D..W-1 carry data along and never hold a pivot.
+  * An echelon basis is a square array `rows` (D x D) plus a uint8 flag
+    vector `have` of length D: have[c] says rows[c] is live with pivot column
+    c and pivot value 1.  Live rows are in reduced row echelon form: each is
+    zero in every other live pivot column, and dead rows are zero.
+  * A product of residue arrays goes through residue_matmul, which picks
+    float64 (BLAS) where that is exact and int64 elsewhere.
   * Field-tower scalars are "codes": c in [0, Q1) means generator^c, and the
     value Q1 itself is zero.  `zech` is the Zech logarithm table, with
     zech[k] = Q1 marking 1 + g^k = 0.  A code matrix is a flat row-major
@@ -33,48 +34,69 @@ SCAN_CHUNK = 2048
 
 # -- F_ell reduced row echelon form ---------------------------------------------
 
-def echelon_reduce(rows: np.ndarray, have: np.ndarray, vec: np.ndarray, ell: int) -> np.ndarray:
-    """Residue of vec, or of each row of a (k, W) stack, modulo the live rows.
+# the least m*k*n at which an (m x k) @ (k x n) residue product runs in
+# float64: below it converting the operands costs more than BLAS saves
+FLOAT_MATMUL_WORK = 2**16
 
-    The basis is in RREF, so the residue is one product against the live
-    rows at whose pivots vec is nonzero, then one reduction mod ell: exact in
-    int64 because each sum has at most D terms below ell^2.  A residue
-    vanishes on the pivot columns, so a stack takes the product on the
-    other columns only (a large stack has nearly all pivots in use); a
-    single vector takes whole rows, which is cheaper than gathering columns.
+
+def residue_matmul(a: np.ndarray, b: np.ndarray, ell: int) -> np.ndarray:
+    """The exact int64 product a @ b of a (k,) or (m, k) and a (k, n) array
+    of residues, entries in [0, ell).
+
+    Every entry is a sum of k products below (ell-1)^2, so every partial sum
+    of it is an integer below k*(ell-1)^2.  While that bound is below 2^53
+    float64 holds each one exactly in any summation order (Dumas, Giorgi
+    and Pernet, FFLAS-FFPACK), and a large product runs there through BLAS;
+    otherwise the product is taken in int64, where callers keep it from
+    overflowing (modules.Subspace refuses ell^2 * (D+1) >= 2^63).
     """
-    live = have.nonzero()[0]
-    lead = vec[..., live]
+    k = b.shape[0]
+    if k * (ell - 1) ** 2 < 2**53 and a.size * b.shape[1] >= FLOAT_MATMUL_WORK:
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    return a @ b
+
+
+def echelon_reduce(rows: np.ndarray, have: np.ndarray, vec: np.ndarray, ell: int) -> np.ndarray:
+    """Residue of vec, or of each row of a (k, D) stack, modulo the live rows.
+
+    The basis is in RREF, so the residue is one product (residue_matmul)
+    against the live rows at whose pivots vec is nonzero, then one reduction
+    mod ell.  A residue vanishes on the pivot columns, so a stack takes the
+    product on the other columns only (a large stack has nearly all pivots
+    in use); a single vector takes whole rows, which is cheaper than
+    gathering columns.
+    """
     if vec.ndim == 1:
-        used = live[lead != 0]
+        used = (vec * have).nonzero()[0]
         if not used.size:
             return vec % ell
-        return (vec - vec[used] @ rows[used]) % ell
-    used = live[lead.any(axis=0)]
+        return (vec - residue_matmul(vec[used], rows[used], ell)) % ell
+    live = have.nonzero()[0]
+    used = live[vec[:, live].any(axis=0)] if live.size else live
     if not used.size:
         return vec % ell
-    free = np.ones(vec.shape[1], dtype=bool)
-    free[live] = False
-    free = free.nonzero()[0]
+    free = (have == 0).nonzero()[0]
     out = np.zeros(vec.shape, dtype=np.int64)
-    out[:, free] = (vec[:, free] - vec[:, used] @ rows[used[:, None], free]) % ell
+    prod = residue_matmul(vec[:, used], rows[used[:, None], free], ell)
+    out[:, free] = (vec[:, free] - prod) % ell
     return out
 
 
 def echelon_insert(rows: np.ndarray, have: np.ndarray, vec: np.ndarray, ell: int) -> int:
     """Insert vec into the RREF basis; return its new pivot column, or -1 if
-    its first D entries already lie in the span."""
-    D = have.shape[0]
+    it already lies in the span."""
     res = echelon_reduce(rows, have, vec, ell)
-    nz = res[:D].nonzero()[0]
+    nz = res.nonzero()[0]
     if not nz.size:
         return -1
     c = int(nz[0])
-    res = res * pow(int(res[c]), -1, ell) % ell
+    lead = int(res[c])
+    if lead != 1:
+        res = res * pow(lead, -1, ell) % ell
     # clear column c from the older rows to keep the basis fully reduced
     hit = rows[:, c].nonzero()[0]
     if hit.size:
-        rows[hit] = (rows[hit] - np.outer(rows[hit, c], res)) % ell
+        rows[hit] = (rows[hit] - rows[hit, c, None] * res) % ell
     rows[c] = res
     have[c] = 1
     return c

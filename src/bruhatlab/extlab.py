@@ -72,33 +72,33 @@ def _pmap(fn, items, jobs: int) -> list:
         return pool.map(fn, items, chunksize=chunk)
 
 
-def nullspace_coeffs(rows, ell: int):
-    """Coefficient vectors c with sum_j c_j rows[j] = 0 (a basis of them).
+def nullspace_coeffs(rows, ell: int) -> np.ndarray:
+    """A basis of the coefficient vectors c with sum_j c_j rows[j] = 0, as
+    the rows of a (k, n) array for n rows.
 
-    Each row enters tagged with its unit vector; a row whose leading part
-    reduces to zero leaves the relation in the carried tag block."""
+    It is the kernel of the matrix whose columns are the rows, read off the
+    RREF of its rows over the n-column coefficient space: one basis vector
+    per free column f, 1 at f and minus column f of the live rows at their
+    pivots."""
+    rows = np.asarray(rows, dtype=np.int64)
     n = len(rows)
     if n == 0:
-        return []
-    D = len(rows[0])
-    tagged = Subspace(D, ell, carry=n)
-    out = []
-    for j, row in enumerate(rows):
-        vec = np.zeros(D + n, dtype=np.int64)
-        vec[:D] = row
-        vec[D + j] = 1
-        res = tagged.residue(vec)
-        if res[:D].any():
-            tagged.insert(res)
-        else:
-            out.append(res[D:])
+        return np.zeros((0, 0), dtype=np.int64)
+    span = Subspace(n, ell)
+    span.extend(rows.T)
+    live = span.have.nonzero()[0]
+    free = (span.have == 0).nonzero()[0]
+    out = np.zeros((free.size, n), dtype=np.int64)
+    out[np.arange(free.size), free] = 1
+    out[:, live] = -span.rows[live[:, None], free].T % ell
     return out
 
 
 def subspace_intersection(A: Subspace, B: Subspace) -> Subspace:
     rowsA = A.basis_matrix()
     out = Subspace(A.D, A.ell)
-    out.extend(coeffs @ rowsA for coeffs in nullspace_coeffs(B.residue(rowsA), A.ell))
+    coeffs = nullspace_coeffs(B.residue(rowsA), A.ell)
+    out.extend(kern.residue_matmul(coeffs, rowsA, A.ell))
     return out
 
 
@@ -571,13 +571,14 @@ class ExtContext:
         big = np.zeros((len(lam_rows) + len(mu_rows), pair.D), dtype=np.int64)
         big[:len(lam_rows), :Dl] = lam_rows
         big[len(lam_rows):, Dl:] = mu_rows
-        # with no fixing generator diff has zero width and fixes every vector
-        diff = np.hstack([big[:, :0]] + [
-            (pair.apply_table(t, big) - big) % ell
-            for t in pair.action_tables(fix_gens)
-        ])
+        # with no fixing generator diff has zero width and fixes every vector;
+        # it is filled one generator at a time, so no list of blocks doubles it
+        tables = pair.action_tables(fix_gens)
+        diff = np.empty((len(big), len(tables) * pair.D), dtype=np.int64)
+        for i, t in enumerate(tables):
+            diff[:, i * pair.D:(i + 1) * pair.D] = (pair.apply_table(t, big) - big) % ell
         fixed = Subspace(pair.D, ell)
-        fixed.extend(coeffs @ big for coeffs in nullspace_coeffs(diff, ell))
+        fixed.extend(kern.residue_matmul(nullspace_coeffs(diff, ell), big, ell))
 
         meet = subspace_intersection(f_image, fixed).basis_matrix()
         contained = not meet[:, :Dl].any() and mu_sub.contains(meet[:, Dl:])
@@ -752,12 +753,12 @@ def central_split(ext: SynthExtension) -> dict:
         raise ValueError("central element does not separate the characters")
     ell = ext.ell
     T = (ext.c0_mat - ext.a * np.eye(ext.n, dtype=np.int64)) % ell
-    cols = [T[:, j] % ell for j in range(ext.n)]
-    eigen_rows = nullspace_coeffs(cols, ell)
     eigen = Subspace(ext.n, ell)
-    eigen.extend(eigen_rows)
+    eigen.extend(nullspace_coeffs(T.T, ell))
     basis = eigen.basis_matrix()
-    stable = all(eigen.contains(basis @ Mb.T) for Mb in ext.gens)
+    stable = eigen.contains(
+        np.vstack([kern.residue_matmul(basis, Mb.T, ell) for Mb in ext.gens])
+    )
     total = eigen.union(ext.sub)
     meet = subspace_intersection(eigen, ext.sub)
     complementary = (

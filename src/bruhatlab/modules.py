@@ -34,32 +34,34 @@ from .fieldtower import BudgetError
 from .rootdata import WeylElt
 
 KEY_BUDGET = 10**5
-# bytes of one dense echelon array, D x (D + carry) int64: A3 p=2 at level 2
-# (D = 8,925, about 640 MB) fits, A1 p=5 N=3 at level 3 (D = 15,626, about
-# 2 GB) does not
+# bytes of one dense D x D int64 echelon array: A3 p=2 at level 2 (D = 8,925,
+# about 640 MB) fits, A1 p=5 N=3 at level 3 (D = 15,626, about 2 GB) does not
 ECHELON_BYTES_BUDGET = 2**30
+# bytes of one stack of images in spin_closure: the frontier's images under
+# the generators, and the basis images under the stability samples, are
+# built and reduced at most this many bytes at a time (one row's images at
+# A3 p=2 level 2, 15 tables of D = 8,925, take 1.07 MB)
+SPIN_CHUNK_BYTES = 2**21
+# rows of a stack that Subspace.extend reduces in one stacked residue: rows
+# made dependent by the inserts of their own chunk still reach insert, so
+# small chunks waste few inserts, and larger ones gain little from BLAS
+EXTEND_ROWS = 32
 STABILITY_SAMPLES = 8
 _STABILITY_SEED = 20260818
 
 
 class Subspace:
-    """Row space over F_ell in reduced row echelon form, fixed ambient dimension.
+    """Row space over F_ell in reduced row echelon form, fixed ambient dimension."""
 
-    With `carry=n` every row has n trailing columns that ride along with the
-    row operations but never hold a pivot: inserting pairs (v, w) records the
-    linear map v -> w on the span of the v's, and a residue's trailing part
-    is then the obstruction w - f(v) of a pair whose v already lies in it.
-    """
-
-    def __init__(self, D: int, ell: int, carry: int = 0):
+    def __init__(self, D: int, ell: int):
         if ell * ell * (D + 1) >= 2**63:
             raise OverflowError(f"residues overflow int64: ell={ell}, D={D}")
-        nbytes = 8 * D * (D + carry)
+        nbytes = 8 * D * D
         if nbytes > ECHELON_BYTES_BUDGET:
             raise BudgetError("echelon basis", "memory", "ECHELON_BYTES_BUDGET",
                               ECHELON_BYTES_BUDGET, nbytes, "bytes")
         self.D, self.ell = D, ell
-        self.rows = np.zeros((D, D + carry), dtype=np.int64)
+        self.rows = np.zeros((D, D), dtype=np.int64)
         self.have = np.zeros(D, dtype=np.uint8)
 
     @property
@@ -72,10 +74,29 @@ class Subspace:
         return int(kern.echelon_insert(self.rows, self.have, v, self.ell))
 
     def extend(self, stack) -> np.ndarray:
-        """Insert every row of a (k, D) stack, or of any iterable of vectors,
-        in order; the pivot of each row, -1 for a row that was already in
-        the span.  Every row goes through `insert`."""
-        return np.array([self.insert(row) for row in stack], dtype=np.int64)
+        """Insert every row of a (k, D) stack in order, with the result of
+        inserting them one at a time: the same rows and pivot flags, and the
+        pivot of each row, -1 for a row already in the span.
+
+        The stack is reduced modulo the current span EXTEND_ROWS rows at a
+        time, each chunk in one stacked residue, and only the rows whose
+        residue is nonzero go through `insert`: a residue differs from its
+        row by an element of the span, so `insert` gives it the same pivot,
+        and a zero residue means a row in the span.  Once the span is
+        everything, the remaining rows are not inserted.
+        """
+        stack = np.asarray(stack, dtype=np.int64)
+        stack = stack.reshape(len(stack), self.D)
+        piv = np.full(len(stack), -1, dtype=np.int64)
+        dim = self.dim
+        for lo in range(0, len(stack), EXTEND_ROWS):
+            res = self.residue(stack[lo:lo + EXTEND_ROWS])
+            for j in res.any(axis=1).nonzero()[0]:
+                if dim == self.D:
+                    return piv
+                piv[lo + j] = self.insert(res[j])
+                dim += int(piv[lo + j] >= 0)
+        return piv
 
     def residue(self, vec) -> np.ndarray:
         """Canonical representative of vec modulo this subspace: it depends
@@ -91,13 +112,14 @@ class Subspace:
 
     def apply(self, vec):
         """The rest of the span element whose leading part is vec, the
-        leading part being the first len(vec) entries: the carried part of a
-        `carry` subspace, the image of vec under the map whose graph this
-        is.  A (k, n) stack gives one row per row.  None when vec, or some
-        row of the stack, is outside the span of the leading parts."""
+        leading part being the first len(vec) entries: when every pivot lies
+        in the leading columns the span is the graph of a linear map, and
+        this is the image of vec under it.  A (k, n) stack gives one row per
+        row.  None when vec, or some row of the stack, is outside the span
+        of the leading parts."""
         vec = np.asarray(vec)
         n = vec.shape[-1]
-        full = np.zeros(vec.shape[:-1] + self.rows.shape[1:], dtype=np.int64)
+        full = np.zeros(vec.shape[:-1] + (self.D,), dtype=np.int64)
         full[..., :n] = vec
         res = self.residue(full)
         if res[..., :n].any():
@@ -109,7 +131,7 @@ class Subspace:
         return self.rows[np.flatnonzero(self.have)]
 
     def copy(self) -> "Subspace":
-        out = Subspace(self.D, self.ell, self.rows.shape[1] - self.D)
+        out = Subspace(self.D, self.ell)
         out.rows[:] = self.rows
         out.have[:] = self.have
         return out
@@ -184,6 +206,7 @@ class KeyedModule:
         self._key_mats: dict = {}
         self._tables: dict = {}
         self._etas: dict = {}
+        self._samples: list | None = None
         self._build_code_tables()
 
     def _build_code_tables(self) -> None:
@@ -361,6 +384,16 @@ class KeyedModule:
 
     def generators(self) -> list[Mat]:
         return level_generators(self.chev, self.k)
+
+    def stability_samples(self) -> list[Mat]:
+        """The STABILITY_SAMPLES random level-k elements that spin_closure
+        checks a span against, drawn once per module from a fixed seed."""
+        if self._samples is None:
+            rng = random.Random(_STABILITY_SEED)
+            self._samples = [
+                self.random_group_elt(rng) for _ in range(STABILITY_SAMPLES)
+            ]
+        return self._samples
 
     def random_group_elt(self, rng: random.Random) -> Mat:
         cx, tw = self.chev, self.tower
@@ -585,6 +618,15 @@ def level_generators(chev, k: int) -> list[Mat]:
     return gens
 
 
+def _image_chunks(mod, tables, vecs):
+    """The images of the rows of vecs under every table, in stacks of at
+    most SPIN_CHUNK_BYTES bytes (the images of one row at the least)."""
+    step = max(1, SPIN_CHUNK_BYTES // (8 * mod.D * max(1, len(tables))))
+    for lo in range(0, len(vecs), step):
+        part = vecs[lo:lo + step]
+        yield np.concatenate([mod.apply_table(t, part) for t in tables])
+
+
 def spin_closure(mod, seeds, gens=None) -> Subspace:
     """Smallest subspace containing seeds and stable under the generators:
     the one spin-up routine, for a module, a quotient (`EModule`) or a
@@ -592,36 +634,43 @@ def spin_closure(mod, seeds, gens=None) -> Subspace:
     graph of the equivariant map v -> w when it has no pivot past v).
 
     `mod` provides D, ell, action_tables() and apply_table(), and also
-    generators() and random_group_elt() when `gens` is None, and to_dense()
-    for seeds given as sparse dicts rather than dense arrays.  The tables of
-    the generators are built in one stacked pass, and so are those of the
-    stability samples.  The search stops once the span is the whole module,
-    where no image can add to it; the stability check still runs.  That
-    check samples random level-k elements of `mod`, so it runs exactly when
-    `gens` is None: given generators may generate a smaller group.
+    generators() and stability_samples() when `gens` is None, and
+    to_dense() for seeds given as sparse dicts rather than dense arrays.
+
+    The spin runs by frontiers.  The first frontier is the echelon rows of
+    the seeds; each round applies every generator table to the whole
+    frontier and extends the span by the images, SPIN_CHUNK_BYTES of them
+    at a time, and the next frontier is the rows at the pivots that round
+    added: with the older rows they span the new span, so every vector of
+    the span has its images in it once a round adds nothing.  The spin
+    stops there, or once the span is the whole module, where no image can
+    add to it.
+
+    The stability check applies random level-k elements of `mod` to the
+    whole basis and tests every image in stacked residues.  It runs exactly
+    when `gens` is None (given generators may generate a smaller group) and
+    the span is proper: the whole module contains every vector, so there
+    the check cannot fail, and its samples are not even drawn.
     """
     S = Subspace(mod.D, mod.ell)
     piv = S.extend(
-        mod.to_dense(seed) if isinstance(seed, dict) else np.array(seed)
-        for seed in seeds
+        [mod.to_dense(seed) if isinstance(seed, dict) else seed for seed in seeds]
     )
-    queue = [S.rows[p].copy() for p in piv[piv >= 0]]
+    frontier = S.rows[piv[piv >= 0]]
     tables = mod.action_tables(mod.generators() if gens is None else gens)
-    while queue and S.dim < mod.D:
-        vec = queue.pop()
-        for table in tables:
-            piv = S.insert(mod.apply_table(table, vec))
-            if piv >= 0:
-                queue.append(S.rows[piv].copy())
-                if S.dim == mod.D:
-                    break
-    if gens is None:
-        rng = random.Random(_STABILITY_SEED)
-        basis = S.basis_matrix()
-        samples = [mod.random_group_elt(rng) for _ in range(STABILITY_SAMPLES)]
-        for table in mod.action_tables(samples):
-            if not S.contains(mod.apply_table(table, basis)):
-                raise AssertionError("spin closure is not group stable")
+    while len(frontier) and S.dim < mod.D:
+        added = [np.zeros(0, dtype=np.int64)]
+        for stack in _image_chunks(mod, tables, frontier):
+            piv = S.extend(stack)
+            added.append(piv[piv >= 0])
+            if S.dim == mod.D:
+                break
+        frontier = S.rows[np.concatenate(added)]
+    if gens is None and S.dim < mod.D:
+        samples = mod.action_tables(mod.stability_samples())
+        chunks = _image_chunks(mod, samples, S.basis_matrix())
+        if not all(S.contains(stack) for stack in chunks):
+            raise AssertionError("spin closure is not group stable")
     return S
 
 

@@ -184,6 +184,30 @@ def pivots(S) -> list[int]:
     return [int(c) for c in np.nonzero(S.have)[0]]
 
 
+def tagged_nullspace_coeffs(rows, ell: int) -> list:
+    """The kernel of extlab.nullspace_coeffs, one row at a time: each row
+    enters tagged with its unit vector, and a row whose leading part reduces
+    to zero leaves its relation in the tag block.  Every pivot stays in the
+    leading D columns, since a residue with a nonzero leading part has its
+    first nonzero entry there."""
+    n = len(rows)
+    if n == 0:
+        return []
+    D = len(rows[0])
+    tagged = modules.Subspace(D + n, ell)
+    out = []
+    for j, row in enumerate(rows):
+        vec = np.zeros(D + n, dtype=np.int64)
+        vec[:D] = row
+        vec[D + j] = 1
+        res = tagged.residue(vec)
+        if res[:D].any():
+            tagged.insert(res)
+        else:
+            out.append(res[D:])
+    return out
+
+
 def act(mod, g, vec: dict) -> dict:
     """g . vec on sparse vectors, through the stacked action."""
     return mod.from_dense(mod.act_stack([g], mod.to_dense(vec))[0])

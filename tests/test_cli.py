@@ -409,9 +409,9 @@ def test_budget_errors_carry_their_fields(monkeypatch):
          ("gamma scan", "membership", 132, "conjugations")),
         (extlab, "SCAN_BUDGET", 10, lambda: ctx.claim_club(ctx.U_list[-1]),
          ("club scan", "membership", 22, "conjugations")),
-        (modules, "ECHELON_BYTES_BUDGET", 8 * 4 * 6 - 1,
-         lambda: modules.Subspace(4, 7, carry=2),
-         ("echelon basis", "memory", 8 * 4 * 6, "bytes")),
+        (modules, "ECHELON_BYTES_BUDGET", 8 * 4 * 4 - 1,
+         lambda: modules.Subspace(4, 7),
+         ("echelon basis", "memory", 8 * 4 * 4, "bytes")),
         (cli, "BLOCK_GRID_BUDGET", 7,
          lambda: cli.cmd_blocks(RunConfig({"group": "A1", "p": 3})),
          ("ambient character grid", "block", 8, "characters")),

@@ -13,6 +13,8 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bruhatlab import cli, extlab
 from bruhatlab.characters import Characters
@@ -35,7 +37,7 @@ from bruhatlab.modules import (
     spin_closure,
 )
 from bruhatlab.rootdata import build_A
-from oracles import pivots
+from oracles import pivots, tagged_nullspace_coeffs
 
 FS = frozenset()
 
@@ -55,36 +57,19 @@ def ext_for(p, a, N, rank, lam, mu, i):
 
 
 def test_augmented_solver_consistency():
-    # a Subspace carrying a trailing block records the map v -> w
+    # a subspace whose pivots all lie in the leading columns is the graph of
+    # the map v -> w, read off a vector shorter than its rows
     ell = 7
-    s = Subspace(3, ell, carry=2)
     v1, w1 = np.array([1, 2, 0]), np.array([1, 0])
     v2, w2 = np.array([0, 1, 1]), np.array([0, 1])
-    assert s.insert(np.concatenate([v1, w1])) >= 0
-    assert s.insert(np.concatenate([v2, w2])) >= 0
-    # implied pair: v1 + 2*v2 -> w1 + 2*w2 reduces to zero obstruction
-    pair = np.concatenate([v1 + 2 * v2, w1 + 2 * w2])
-    assert s.insert(pair) == -1 and not s.residue(pair).any()
-    # contradictory pair: same v-part, different w-part
-    pair = np.concatenate([v1 + 2 * v2, w1 + 3 * w2])
-    res = s.residue(pair)
-    assert s.insert(pair) == -1 and not res[:3].any() and res[3:].any()
-    img = s.apply((3 * v1 + v2) % ell)
-    assert np.array_equal(img, (3 * w1 + w2) % ell)
-    assert s.apply(np.array([0, 0, 1])) is None  # outside the span
-    assert s.dim == 2
-    # a (k, n) stack maps row by row, and is None if any row is outside
-    stack = np.array([(3 * v1 + v2) % ell, v2])
-    assert np.array_equal(s.apply(stack), np.array([(3 * w1 + w2) % ell, w2]))
-    assert s.apply(np.array([v1, [0, 0, 1]])) is None
-    # a plain subspace whose pivots all lie in the leading columns is the
-    # graph of the same map, read off a vector shorter than its rows
     g = Subspace(5, ell)
     g.insert(np.concatenate([v1, w1]))
     g.insert(np.concatenate([v2, w2]))
     assert pivots(g) == [0, 1]
     assert np.array_equal(g.apply((3 * v1 + v2) % ell), (3 * w1 + w2) % ell)
-    assert np.array_equal(g.apply(stack), s.apply(stack))
+    # a (k, n) stack maps row by row, and is None if any row is outside
+    stack = np.array([(3 * v1 + v2) % ell, v2])
+    assert np.array_equal(g.apply(stack), np.array([(3 * w1 + w2) % ell, w2]))
     assert g.apply(np.array([0, 0, 1])) is None
     assert g.apply(np.array([v1, [0, 0, 1]])) is None
 
@@ -105,6 +90,81 @@ def test_nullspace_coeffs_kills_rows():
         assert not combo.any()
         span.insert(c)
     assert span.dim == 2
+
+
+def _span_of(vectors, n: int, ell: int) -> Subspace:
+    span = Subspace(n, ell)
+    span.extend(np.array(vectors, dtype=np.int64).reshape(len(vectors), n))
+    return span
+
+
+def _same_kernel(rows, ell):
+    """The RREF kernel has the tagged oracle's span, and kills every row."""
+    rows = np.array(rows, dtype=np.int64)
+    n = len(rows)
+    got = nullspace_coeffs(rows, ell)
+    want = tagged_nullspace_coeffs(list(rows), ell)
+    assert got.shape == (len(want), n)
+    assert not (got @ rows % ell).any()
+    a, b = _span_of(got, n, ell), _span_of(want, n, ell)
+    assert np.array_equal(a.rows, b.rows) and np.array_equal(a.have, b.have)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([2, 3, 7, 13]),
+    st.integers(0, 7),
+    st.integers(0, 7),
+    st.integers(0, 2**32 - 1),
+)
+def test_nullspace_coeffs_matches_tagged_oracle(ell, n, D, seed):
+    # random rows of low rank (products of thin factors), with a zero row,
+    # a repeated row and full rank among the cases; n = 0 is no rows and
+    # D = 0 zero width, where every coefficient vector is in the kernel
+    rng = np.random.default_rng(seed)
+    rank = int(rng.integers(0, min(n, D) + 1))
+    rows = rng.integers(0, ell, (n, rank)) @ rng.integers(0, ell, (rank, D)) % ell
+    if n >= 2:
+        rows[0] = 0
+        rows[-1] = rows[1]
+    _same_kernel(rows, ell)
+    # an identity block has full rank: the kernel is zero
+    _same_kernel(np.eye(D, dtype=np.int64), ell)
+
+
+@pytest.mark.parametrize("config", [
+    (3, 1, (1,), (1,), FS, FS),
+    (3, 1, (0,), (0,), frozenset({1}), frozenset({1})),
+    (2, 2, (0, 0), (0, 0), frozenset({1}), frozenset({1})),
+    (2, 2, (0, 0), (0, 0), frozenset({1, 2}), frozenset({1, 2})),
+])
+def test_probe_fixed_space_matches_tagged_oracle(monkeypatch, config):
+    # on the probe digest grid: every kernel of twisted_probe (its fixed
+    # vectors and its meet) spans what the tagged oracle spans, so the fixed
+    # spaces agree, and the probe with the oracle in place reports the same
+    p, rank, lam, mu, J, K = config
+    ch = chars_for(p, 1, 2, rank)
+    kernels = []
+    real = extlab.nullspace_coeffs
+
+    def recorded(rows, ell):
+        kernels.append((np.array(rows), ell))
+        return real(rows, ell)
+
+    monkeypatch.setattr(extlab, "nullspace_coeffs", recorded)
+    ctx = ExtContext(ch, lam, mu, J, K, 1)
+    u = ctx.choose_u()[0]
+    report = ctx.twisted_probe(u)
+    assert len(kernels) == 2
+    for rows, ell in kernels:
+        _same_kernel(rows, ell)
+    monkeypatch.setattr(
+        extlab, "nullspace_coeffs",
+        lambda rows, ell: np.array(
+            tagged_nullspace_coeffs(list(rows), ell), dtype=np.int64
+        ).reshape(-1, len(rows)),
+    )
+    assert ExtContext(ch, lam, mu, J, K, 1).twisted_probe(u) == report
 
 
 def test_subspace_intersection_planes():

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bruhatlab import _backend as kern
+from bruhatlab import modules
 from bruhatlab.characters import Characters
 from bruhatlab.chevalley import Chevalley
 from bruhatlab.extlab import ExtContext
@@ -169,6 +170,19 @@ def test_extend_equals_row_by_row_insert(ell, D, seed):
     assert np.array_equal(S.have, have_before)
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_extend_in_chunks_equals_row_by_row_insert(monkeypatch, chunk):
+    # stacks longer than one stacked residue: a row made dependent by an
+    # insert of its own chunk, or of an earlier one, gets the same -1
+    monkeypatch.setattr(modules, "EXTEND_ROWS", chunk)
+    for ell, D, seed in [(2, 6, 0), (7, 5, 1), (11, 9, 2)]:
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, ell, size=(D + 3, D))
+        stack = np.vstack([rows, (2 * rows[0] + rows[-1]) % ell, rows[:3]])
+        _extend_matches_insert(ell, D, [], stack)
+        _extend_matches_insert(ell, D, list(rows[:2]), stack)
+
+
 @settings(max_examples=200, deadline=None)
 @given(subspace_cases())
 def test_extend_equals_row_by_row_insert_property(case):
@@ -176,6 +190,32 @@ def test_extend_equals_row_by_row_insert_property(case):
     half = len(gens) // 2
     stack = gens[half:] + [x, y, x, (x + y) % ell, np.zeros(D, dtype=np.int64)]
     _extend_matches_insert(ell, D, gens[:half], np.array(stack))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2**20, 2**26), st.integers(0, 2**32 - 1))
+def test_residue_matmul_is_exact_on_both_sides_of_the_float_bound(ell, seed):
+    # k is the largest inner size with k (ell-1)^2 < 2^53, where the float64
+    # product of a large enough stack must equal the int64 one; one more
+    # term must take the int64 path.  Which path ran shows on a probe entry
+    # of 2^53 + 1, outside the residue range: int64 keeps it, float64 rounds
+    rng = np.random.default_rng(seed)
+    below = (2**53 - 1) // (ell - 1) ** 2
+    side = math.isqrt(kern.FLOAT_MATMUL_WORK // below) + 1
+    for k, float_path in ((below, True), (below + 1, False)):
+        a = rng.integers(0, ell, (side, k))
+        b = rng.integers(0, ell, (k, side))
+        a[0], b[:, 0] = ell - 1, ell - 1  # the largest sum of all
+        got = kern.residue_matmul(a, b, ell)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, a @ b)
+        assert got[0, 0] == k * (ell - 1) ** 2
+        probe = np.zeros_like(a)
+        probe[0, 0] = 2**53 + 1
+        unit = np.zeros_like(b)
+        unit[0, 0] = 1
+        kept = kern.residue_matmul(probe, unit, ell)[0, 0] == 2**53 + 1
+        assert kept != float_path
 
 
 def test_echelon_py_rank_semantics():

@@ -296,10 +296,12 @@ def test_spin_matches_translate_span():
 
 def test_spin_stops_inserting_at_the_full_span(monkeypatch):
     # the unit vector spins up the whole module; once the span is everything
-    # no image is inserted, but every stability sample is still checked
-    ctx = ctx_for(3, 1, 2, 1, (0,), 1)
-    dims, checks = [], []
+    # no image is inserted, and no stability sample is drawn or checked: the
+    # whole module contains every vector, so that check cannot fail.  On a
+    # proper span every sample is still drawn and checked on the whole basis
+    dims, checks, draws = [], [], []
     insert, contains = mod.Subspace.insert, mod.Subspace.contains
+    draw = mod.KeyedModule.random_group_elt
 
     def counted_insert(self, vec):
         dims.append(self.dim)
@@ -309,13 +311,51 @@ def test_spin_stops_inserting_at_the_full_span(monkeypatch):
         checks.append(len(vec))
         return contains(self, vec)
 
+    def counted_draw(self, rng):
+        draws.append(rng)
+        return draw(self, rng)
+
     monkeypatch.setattr(mod.Subspace, "insert", counted_insert)
     monkeypatch.setattr(mod.Subspace, "contains", counted_contains)
+    monkeypatch.setattr(mod.KeyedModule, "random_group_elt", counted_draw)
+    ctx = mod.ModuleContext(chars_for(3, 1, 2, 1), (0,), 1)
     spun = ctx.spin([one_vec(ctx)])
     assert spun.dim == ctx.D == dims[-1] + 1
     assert all(d < ctx.D for d in dims)
-    # one check of the whole basis per stability sample
-    assert checks == [ctx.D] * mod.STABILITY_SAMPLES
+    assert draws == [] and checks == []
+    proper = ctx.spin([ctx.eta({1})])
+    assert proper.dim < ctx.D
+    assert len(draws) == mod.STABILITY_SAMPLES
+    assert sum(checks) == mod.STABILITY_SAMPLES * proper.dim
+
+
+def test_spin_chunks_do_not_change_the_span(monkeypatch):
+    # every spin of the socle grid (the quotients' spins in the Bruhat
+    # module and the generator's spin in the induced one), rerun with the
+    # image stacks cut to one frontier row each, gives the same echelon basis
+    def grid_spins():
+        spins = []
+        real = mod.spin_closure
+
+        def recorded(*args, **kwargs):
+            S = real(*args, **kwargs)
+            spins.append((S.rows.copy(), S.have.copy()))
+            return S
+
+        with monkeypatch.context() as patch:
+            patch.setattr(mod, "spin_closure", recorded)
+            for ch, theta, k, Js in SOCLE_GRID:
+                ctx = mod.ModuleContext(ch, theta, k)
+                for J in Js:
+                    mod.check_socle(ctx, J)
+        return spins
+
+    whole = grid_spins()
+    monkeypatch.setattr(mod, "SPIN_CHUNK_BYTES", 1)
+    chunked = grid_spins()
+    assert len(whole) == len(chunked) > 0
+    for (rows, have), (rows_c, have_c) in zip(whole, chunked):
+        assert np.array_equal(rows, rows_c) and np.array_equal(have, have_c)
 
 
 # -- quotients ---------------------------------------------------------------
@@ -582,17 +622,19 @@ def test_induced_full_flag_action_matches_module(p, r, theta, k, trivial):
     assert nb.eta(J) == ctx.eta(J)
 
 
+SOCLE_GRID = [
+    (chars_for(3, 1, 2, 1), (0,), 1, [frozenset(), frozenset({1})]),
+    (
+        chars_for(2, 1, 2, 2),
+        (0, 0),
+        1,
+        [frozenset(), frozenset({1}), frozenset({2}), frozenset({1, 2})],
+    ),
+]
+
+
 def test_socle_comparison_grid():
-    cases = [
-        (chars_for(3, 1, 2, 1), (0,), 1, [frozenset(), frozenset({1})]),
-        (
-            chars_for(2, 1, 2, 2),
-            (0, 0),
-            1,
-            [frozenset(), frozenset({1}), frozenset({2}), frozenset({1, 2})],
-        ),
-    ]
-    for ch, theta, k, Js in cases:
+    for ch, theta, k, Js in SOCLE_GRID:
         ctx = mod.ModuleContext(ch, theta, k)
         for J in Js:
             rep = mod.check_socle(ctx, J)

@@ -26,6 +26,13 @@ wrapped = [
     mods.modules.ModuleContext.e_module,
     mods.chevalley.Chevalley.bruhat_form,
     mods.characters.Characters.eval_parabolic,
+    mods.modules.Subspace.insert,
+    mods.modules.Subspace.residue,
+    mods.modules.spin_closure,
+    mods.extlab.nullspace_coeffs,
+    mods.extlab.central_split,
+    mods.backend.echelon_insert,
+    mods.backend.echelon_reduce,
 ]
 assert all(getattr(fn, "__perfbench_wrapped__", False) for fn in wrapped)
 print(len(SPAN_NAMES))
