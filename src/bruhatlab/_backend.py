@@ -35,8 +35,11 @@ SCAN_CHUNK = 2048
 # -- F_ell reduced row echelon form ---------------------------------------------
 
 # the least m*k*n at which an (m x k) @ (k x n) residue product runs in
-# float64: below it converting the operands costs more than BLAS saves
-FLOAT_MATMUL_WORK = 2**16
+# float64.  Timing both products on the operands of real runs (2-core x86,
+# OpenBLAS) puts the crossover between 2^12 and 2^13: below 2^11 the two
+# conversions make float64 about twice as slow (5 against 2.5 us), at 2^12
+# the faster one depends on the shape, and from 2^14 float64 is never slower
+FLOAT_MATMUL_WORK = 2**13
 
 
 def residue_matmul(a: np.ndarray, b: np.ndarray, ell: int) -> np.ndarray:

@@ -44,7 +44,10 @@ ECHELON_BYTES_BUDGET = 2**30
 SPIN_CHUNK_BYTES = 2**21
 # rows of a stack that Subspace.extend reduces in one stacked residue: rows
 # made dependent by the inserts of their own chunk still reach insert, so
-# small chunks waste few inserts, and larger ones gain little from BLAS
+# small chunks waste few inserts.  16, 32 and 64 time the same within noise
+# on the A2 p=3 club, the A1 p=3 N=3 probe, verify socle A2 p=2 k=2 and a
+# split pass, while one residue over a whole stack made the probe's kernel
+# step reject 7,313 inserts instead of 251
 EXTEND_ROWS = 32
 STABILITY_SAMPLES = 8
 _STABILITY_SEED = 20260818
