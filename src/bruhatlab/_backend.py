@@ -218,11 +218,10 @@ def scan_conj_upper(
     m: int,
     zech: np.ndarray,
     Q1: int,
-    start: int = 0,
     *,
     permuted: bool = False,
 ) -> int:
-    """First index idx >= start with P @ G[idx] @ Q upper-triangular, else -1.
+    """First index idx with P @ G[idx] @ Q upper-triangular, else -1.
 
     With permuted=True the test is P @ G[idx] @ Q in B.N, upper-triangular
     after some column permutation.
@@ -239,7 +238,7 @@ def scan_conj_upper(
     table = in_BN if permuted else in_B
     Z = 2 * Q1
     P, Q = _encode_stack(P, m, enc, 1), _encode_stack(Q, m, enc, 1)
-    lo, size = start, max(1, SCAN_CHUNK // 8)
+    lo, size = 0, max(1, SCAN_CHUNK // 8)
     while lo < G.shape[0]:
         T = _encode_stack(G[lo:lo + size], m, enc, 1)
         T = _mul_ext(_mul_ext(P, T, m, red, shift), Q, m, red, shift)

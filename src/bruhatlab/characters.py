@@ -123,13 +123,11 @@ class Characters:
 
     # -- triviality loci ---------------------------------------------------------
 
-    def i_theta(self, theta, k: int | None = None) -> frozenset[int]:
-        """{i : theta trivial on the level-k piece of the i-th coroot torus}."""
+    def i_theta(self, theta) -> frozenset[int]:
+        """{i : theta trivial on the i-th coroot torus of the ambient field}."""
         theta = self.normalize(theta)
-        k = self.tower.N if k is None else k
-        mk = self.tower.level_size(k) - 1
         return frozenset(
-            i for i in self.rs.I if theta[i - 1] % mk == 0
+            i for i in self.rs.I if theta[i - 1] % self.tower.Q1 == 0
         )
 
     def eval_parabolic(self, theta, Jp, P) -> np.ndarray:

@@ -6,14 +6,17 @@ form g = u * wdot(w) * t * v with u supported on Phi_{w^-1}^-, rank-1
 structure constants, and canonical enumeration of U_k, T_k, B_k, G_k,
 parabolic subsets and centers at each tower level.
 
-Two decompositions run the same pivot elimination.  `bruhat_cells` is the
-one used by module actions: it returns (w, u, t) for a whole code array at
-once.  `bruhat_form` takes one element, also builds the right factor v, and
-serves `rank1_constants` and the per-key `ModuleContext.act_key` oracle.
-`peel_unipotents` splits a stack of unipotents on Phi_x^- for the induced
-module's coset keys.  The one-element references the tests check these
-against (the scalar peel, the determinant, the reassembled Bruhat product)
-live in tests/oracles.py.
+One pivot elimination, `bruhat_cells`, finds the Bruhat cell (w, u, t) of
+every row of a code array at once; every module action runs through it.
+`bruhat_form` is that elimination on one element, with the right factor
+v = (u * wdot(w) * t)^-1 * g read off after it.  In src/ only the per-key
+`ModuleContext.act_key` oracle calls `bruhat_form`; both names stay
+because the benchmark's tracer wraps them.  `rank1_constants` is a closed
+form in the SL_2 block of alpha_i.  `peel_unipotents` splits a stack of
+unipotents on Phi_x^- for the induced module's coset keys.  The
+one-element references the tests check these against (the scalar Bruhat
+elimination, the scalar peel, the determinant, the reassembled Bruhat
+product) live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -59,7 +62,6 @@ class Chevalley:
         self._wdot_cache: dict[tuple, Mat] = {}
         self._wdot_inv_cache: dict[tuple, tuple] = {}
         self._cells_cache: tuple | None = None
-        self._rank1_cache: dict[tuple, tuple] = {}
         self._enum_cache: dict[tuple, list] = {}
 
     # -- raw matrix arithmetic ----------------------------------------------
@@ -193,54 +195,16 @@ class Chevalley:
         return self._wdot_inv_cache[key]
 
     def bruhat_form(self, g: Mat) -> BruhatForm:
-        tw, m = self.tower, self.m
-        M = [list(g[i * m + j] for j in range(m)) for i in range(m)]
-        u_acc = [list(row) for row in
-                 [self.identity[i * m : (i + 1) * m] for i in range(m)]]
-        v_acc = [list(row) for row in
-                 [self.identity[i * m : (i + 1) * m] for i in range(m)]]
-        used = [False] * m
-        perm_col = [0] * m
-        for j in range(m):
-            piv = max(r for r in range(m) if not used[r] and M[r][j] != tw.ZERO)
-            used[piv] = True
-            perm_col[j] = piv
-            inv = tw.inv(M[piv][j])
-            # clear pivot row to the right (column ops; right factor)
-            for j2 in range(j + 1, m):
-                c = tw.mul(M[piv][j2], inv)
-                if c != tw.ZERO:
-                    for r in range(m):
-                        M[r][j2] = tw.sub(M[r][j2], tw.mul(c, M[r][j]))
-                    # v_acc <- (I + c E_{j,j2}) v_acc
-                    for col in range(m):
-                        v_acc[j][col] = tw.add(
-                            v_acc[j][col], tw.mul(c, v_acc[j2][col])
-                        )
-            # clear pivot column upward (row ops; left factor)
-            for r in range(piv):
-                c = tw.mul(M[r][j], inv)
-                if c != tw.ZERO:
-                    for j2 in range(m):
-                        M[r][j2] = tw.sub(M[r][j2], tw.mul(c, M[piv][j2]))
-                    # u_acc <- u_acc (I + c E_{r,piv})
-                    for row in range(m):
-                        u_acc[row][piv] = tw.add(
-                            u_acc[row][piv], tw.mul(c, u_acc[row][r])
-                        )
-        w = self.rs.by_perm(perm_col)
-        monomial = tuple(x for row in M for x in row)
-        t_mat = self.mat_mul(self.mat_inv(self.wdot(w)), monomial)
-        t = self.diag_of(t_mat)
-        assert t_mat == self.torus(t), "pivot pattern mismatch"
-        # a row operation adds E_{r,piv} only where r pivots a later column,
-        # an inversion of the pivot pattern, so u_acc lies in U_{w^-1}
-        # already: peeling it would split off the identity
-        u = tuple(x for row in u_acc for x in row)
-        inside = set(self.rs.phi_minus_pairs(self.rs.inv(w)))
-        off = [a * m + b for a, b in self.rs.pos_pairs if (a, b) not in inside]
-        assert all(u[i] == tw.ZERO for i in off), "left factor outside U_{w^-1}"
-        return BruhatForm(u=u, w=w, t=t, v=tuple(x for row in v_acc for x in row))
+        """The Bruhat form g = u * wdot(w) * t * v of one element: bruhat_cells
+        on the one row, then v = (u * wdot(w) * t)^-1 * g, which must be upper
+        unitriangular."""
+        widx, u, t = self.bruhat_cells(np.array([g], dtype=np.int64))
+        w = self.rs.elements[int(widx[0])]
+        u, t = tuple(u[0].tolist()), tuple(t[0].tolist())
+        uwt = self.mat_prod([u, self.wdot(w), self.torus(t)])
+        v = self.mat_mul(self.mat_inv(uwt), g)
+        assert self.is_unitriangular(v), "right factor not upper unitriangular"
+        return BruhatForm(u=u, w=w, t=t, v=v)
 
     def _cells_tables(self) -> tuple:
         """Per Weyl element, in rs.elements order: the (column, value) rows
@@ -265,13 +229,15 @@ class Chevalley:
         """(w, u, t) of the Bruhat form of every row of an (n, m*m) code array G.
 
         Returns (widx, u, t): w = rs.elements[widx[r]], u an (n, m*m) and t
-        an (n, m) code array, row r matching bruhat_form(G[r]).  The pivot
-        elimination of bruhat_form runs on every row at once, looping over m
-        only, with each step's row operations first: once they have cleared
-        the pivot column, the column operations that build v only zero the
-        pivot row right of the pivot, so that row is zeroed directly.  The
-        last column needs no row operations, since every other row is then
-        a used pivot row.  Both checks of bruhat_form stay: the pivot
+        an (n, m) code array.  Column by column, the pivot is the last unused
+        row with a nonzero entry, and row operations from the pivot row clear
+        the column above it; the scalar form of this elimination, which also
+        builds v, is the oracle in tests/oracles.py.  It runs on every row at
+        once, looping over m only, with each step's row operations first:
+        once they have cleared the pivot column, the column operations that
+        would build v only zero the pivot row right of the pivot, so that row
+        is zeroed directly.  The last column needs no row operations, since
+        every other row is then a used pivot row.  Two checks: the pivot
         pattern against _wdot_inv_rows, and u inside U_{w^-1}.
         """
         tw, m = self.tower, self.m
@@ -306,7 +272,9 @@ class Chevalley:
         widx = by_code[perm @ (m ** np.arange(m))]
         assert (cols[widx] == perm).all(), "pivot pattern mismatch"
         t = mul(vals[widx], M[rows[:, None], perm, np.arange(m)])
-        # as in bruhat_form, U is already u
+        # a row operation adds E_{r,piv} only where r pivots a later column,
+        # an inversion of the pivot pattern, so U lies in U_{w^-1} already:
+        # peeling it would split off the identity
         upper = [a * m + b for a, b in self.rs.pos_pairs]
         off = (U.reshape(n, m * m)[:, upper] != Q1) & ~phi[widx]
         assert not off.any(), "left factor outside U_{w^-1}"
@@ -341,42 +309,28 @@ class Chevalley:
 
     def rank1_constants(self, i: int, x):
         """Parameters (f, h, g2) with sdot_i eps_i(x) sdot_i^{-1}
-        = eps_i(f) sdot_i coroot_i(h) eps_i(g2); defined for x != 0."""
+        = eps_i(f) sdot_i coroot_i(h) eps_i(g2); defined for x != 0.
+
+        In the 2 x 2 block of alpha_i, sdot_i = [[0, 1], [-1, 0]], so the
+        left side is [[1, 0], [-x, 1]] and the right side is
+        [[-f h, 1/h - f h g2], [-h, -h g2]].  Hence h = x and f = g2 = -1/x,
+        and the top right entry is then 1/x - 1/x = 0:
+        (f, h, g2) = (-1/x, x, -1/x).
+        """
         tw = self.tower
         if x == tw.ZERO:
             raise ValueError("rank1_constants undefined at x = 0")
-        if (i, x) in self._rank1_cache:
-            return self._rank1_cache[(i, x)]
-        s = self.sdot(i)
-        lhs = self.mat_prod([s, self.eps_simple(i, x), self.mat_inv(s)])
-        bf = self.bruhat_form(lhs)
-        if bf.w != self.rs.s(i):
-            raise AssertionError("rank-1 element fell outside the s_i cell")
-        pos = (i - 1) * self.m + i
-        f = bf.u[pos]
-        g2 = bf.v[pos]
-        h = bf.t[i - 1]
-        # torus part must be exactly coroot(i, h)
-        assert bf.t == self.diag_of(self.coroot(i, h))
-        # v must be a pure root element
-        assert bf.v == self.eps_simple(i, g2)
-        assert f != tw.ZERO and g2 != tw.ZERO
-        self._rank1_cache[(i, x)] = (f, h, g2)
-        return f, h, g2
+        f = tw.neg(tw.inv(x))
+        return f, x, f
 
     # -- canonical enumerations ----------------------------------------------
 
-    def _level_elts(self, k):
-        return self.tower.level_members(k)
-
-    def enum_U_w(self, w: WeylElt, k: int, plus: bool = False) -> list[Mat]:
-        """Unipotent group for the closed set Phi_w^- (or Phi_w^+ if plus)."""
-        key = ("Uw", w.perm, k, plus)
+    def enum_U_w(self, w: WeylElt, k: int) -> list[Mat]:
+        """Unipotent group for the closed set Phi_w^-."""
+        key = ("Uw", w.perm, k)
         if key not in self._enum_cache:
-            pairs = (
-                self.rs.phi_plus_pairs(w) if plus else self.rs.phi_minus_pairs(w)
-            )
-            elts = self._level_elts(k)
+            pairs = self.rs.phi_minus_pairs(w)
+            elts = self.tower.level_members(k)
             self._enum_cache[key] = [
                 self._from_entry_support(pairs, combo)
                 for combo in itertools.product(elts, repeat=len(pairs))
@@ -398,7 +352,7 @@ class Chevalley:
         key = ("T", k)
         if key not in self._enum_cache:
             tw = self.tower
-            free = self._level_elts(k)[1:]  # nonzero, in dlog order
+            free = self.tower.level_members(k)[1:]  # nonzero, in dlog order
             out = []
             for combo in itertools.product(free, repeat=self.rs.rank):
                 prod = tw.ONE

@@ -346,29 +346,22 @@ class ExtContext:
 
     def xi(self, u: Mat, check_eigen: bool = True) -> dict:
         """The alternating average attached to u: eta is the class of the
-        sum over p in P_{J'} of (1/lambda(p)) (p.u.wdot(w0)).C, and xi the
-        alternating sum of the wdot(w)-translates of eta over W_J.  Each sum
-        is one weighted module action (act_sum), and residues are linear, so
-        each is projected once.  The identity term of W_J is eta itself, so
-        with J empty only the projection remains."""
+        sum over p in P_{J'} of (1/lambda(p)) (p.u.wdot(w0)).C, one weighted
+        module action (act_sum), and xi the class of the alternating sum of
+        the wdot(w)-translates of eta over W_J (alternating_sum, which is eta
+        itself when J is empty).  Residues are linear, so each sum is
+        projected once."""
         self.require_u(u)
-        cx, tw, ell = self.chev, self.tower, self.ell
-        act_sum, project = self.mu_ctx.act_sum, self.mu_E.project
+        cx, tw, mod, project = self.chev, self.tower, self.mu_ctx, self.mu_E.project
         P, values, coeffs = self._parabolic_terms()
         uw0 = np.array(cx.mat_mul(u, self.w0dot), dtype=np.int64)
         G = kern.mat_mul_codes(P, uw0, cx.m, tw.zech, tw.Q1)
-        eta = project(act_sum(G, coeffs, self.mu_E.C))
+        eta = project(mod.act_sum(G, coeffs, self.mu_E.C))
         report = {"u": self.u_serial(u)}
         if check_eigen:
-            lhs = project(self.mu_ctx.act_stack(P, eta))
-            report["eigen_ok"] = bool((lhs == values[:, None] * eta % ell).all())
-        alt = eta
-        ws = self.rs.subgroup(self.J)[1:]
-        if ws:
-            signs = [ell - 1 if w.length % 2 else 1 for w in ws]
-            wdots = [cx.wdot_in(self.J, w) for w in ws]
-            alt = (eta + act_sum(wdots, signs, eta)) % ell
-        xi = project(alt)
+            lhs = project(mod.act_stack(P, eta))
+            report["eigen_ok"] = bool((lhs == values[:, None] * eta % self.ell).all())
+        xi = project(mod.alternating_sum(self.J, eta))
         report["xi_nonzero"] = bool(xi.any())
         report["xi_in_top_cell_span"] = bool(self.S_subspace().contains(xi))
         report["vector"] = xi
@@ -705,17 +698,7 @@ class SynthExtension:
     configuration; each instance draws its twist R and holds fresh arrays
     R . M . R^-1, so mutating an instance leaves the shared blocks alone."""
 
-    def __init__(
-        self,
-        chars: Characters,
-        lam,
-        mu,
-        J,
-        K,
-        k: int,
-        seed: int,
-        twist: bool = True,
-    ):
+    def __init__(self, chars: Characters, lam, mu, J, K, k: int, seed: int):
         blocks = split_blocks(chars, lam, mu, J, K, k)
         self.chars = chars
         self.ell = chars.coeff.ell
@@ -724,10 +707,7 @@ class SynthExtension:
 
         rng = random.Random(seed)
         X = np.array(
-            [
-                [rng.randrange(self.ell) if twist else 0 for _ in range(self.dl)]
-                for _ in range(self.dm)
-            ],
+            [[rng.randrange(self.ell) for _ in range(self.dl)] for _ in range(self.dm)],
             dtype=np.int64,
         )
         R = np.eye(n, dtype=np.int64)

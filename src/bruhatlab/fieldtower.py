@@ -309,11 +309,7 @@ class FieldTower:
         """F_p-basis of level k: first a*k! powers of generator(k)."""
         dk = self.a * math.factorial(k)
         g = self._gen_code[k]
-        return [self.pow_int_gen(g, j) for j in range(dk)]
-
-    def pow_int_gen(self, x: int, e: int) -> int:
-        # power of a nonzero element, exponent >= 0
-        return (x * e) % self.Q1 if self.Q1 > 1 else self.ONE
+        return [self.pow_int(g, j) for j in range(dk)]
 
     # -- canonical order ---------------------------------------------------
 

@@ -171,9 +171,10 @@ class KeyedModule:
     group elements and keys in one batched product and hands the products
     h = g * key to `_locate(H)`, which names the key and scale of each h in
     one stacked Bruhat-cell pass.  `act_stack`, `act_sum`, `action_table`
-    and `action_tables` are built on it.  Its per-key oracles go through
-    bruhat_form one element at a time: `ModuleContext.act_key` for J' empty,
-    and `induced_act_key` in tests/oracles.py for the induced module.
+    and `action_tables` are built on it.  Its per-key oracles, `act_key` for
+    J' empty and `induced_act_key` for the induced module, live in
+    tests/oracles.py and go through the scalar Bruhat elimination one
+    element at a time.
     """
 
     def __init__(self, chars: Characters, theta, k: int, Jp=frozenset()):
@@ -336,6 +337,18 @@ class KeyedModule:
         sums = np.bincount(idx, weights=terms, minlength=self.D)
         return sums.astype(np.int64) % ell
 
+    def alternating_sum(self, J, dense) -> np.ndarray:
+        """sum over w in W_J of (-1)^l(w) * (wdot(w) . dense) mod ell, as one
+        D-vector.  The identity term is dense itself and the others are one
+        act_sum, so with J empty no action runs."""
+        ws = self.rs.subgroup(J)[1:]  # the identity comes first
+        dense = np.asarray(dense, dtype=np.int64) % self.ell
+        if not ws:
+            return dense
+        signs = [self.ell - 1 if w.length % 2 else 1 for w in ws]
+        terms = self.act_sum([self.chev.wdot_in(J, w) for w in ws], signs, dense)
+        return (dense + terms) % self.ell
+
     def action_table(self, g: Mat):
         """Monomial form of g: (perm, scale) with g.key_i = scale_i * key_{perm_i}."""
         if g not in self._tables:
@@ -370,18 +383,13 @@ class KeyedModule:
         return self.chars.i_theta(self.theta)
 
     def eta(self, J) -> dict:
-        """Alternating sum of the wdot(w)-translates of the one key, w in W_J;
-        one stacked action, computed once per J."""
+        """Alternating sum of the wdot(w)-translates of the one key, w in W_J
+        (alternating_sum), computed once per J."""
         J = frozenset(J)
         if not J <= self.i_theta():
             raise ValueError("J must be contained in I(theta)")
         if J not in self._etas:
-            ws = self.rs.subgroup(J)
-            signs = [self.ell - 1 if w.length % 2 else 1 for w in ws]
-            eta = self.act_sum(
-                [self.chev.wdot_in(J, w) for w in ws], signs,
-                self.to_dense({self.one_key: 1}),
-            )
+            eta = self.alternating_sum(J, self.to_dense({self.one_key: 1}))
             self._etas[J] = self.from_dense(eta)
         return dict(self._etas[J])
 
@@ -434,10 +442,10 @@ class ModuleContext(KeyedModule):
         self._straightening: dict = {}
 
     def act_key(self, g: Mat, key):
-        """g . key one key at a time through bruhat_form: the oracle of
-        _locate.  Only the tests call it; it stays here because the
-        benchmark's tracer wraps it, and moves to tests/oracles.py with the
-        other oracles once the tracer no longer does."""
+        """g . key one key at a time through bruhat_form, so through
+        bruhat_cells.  Nothing in src/ calls it: it stays because the
+        benchmark's tracer wraps it, and goes once the tracer no longer
+        does.  The tests hold it to the oracle act_key in tests/oracles.py."""
         bf = self.chev.bruhat_form(self.chev.mat_mul(g, self.key_mat(key)))
         return (bf.w, bf.u), self.chars.eval_diag(self.theta, bf.t)
 

@@ -82,9 +82,6 @@ class RootSystem:
 
     # -- group structure -----------------------------------------------------
 
-    def by_perm(self, perm) -> WeylElt:
-        return self._by_perm[tuple(perm)]
-
     def s(self, i: int) -> WeylElt:
         perm = list(range(self.rank + 1))
         perm[i - 1], perm[i] = perm[i], perm[i - 1]

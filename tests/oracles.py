@@ -5,11 +5,15 @@ element, one key or one scalar at a time, straight from the definition.
 Those references live here, as functions over the package's public objects,
 so that `src/bruhatlab` holds only what the program runs.
 `tests/test_layout.py` checks that no callable in `src/` is left without a
-caller there.
+caller there, and no defaulted parameter without a caller there that sets it.
 
-The one exception is `ModuleContext.act_key`, the per-key oracle of the
-Bruhat module's stacked action: the benchmark's tracer wraps it, so it stays
-in `src/` until the tracer is retargeted.
+The scalar Bruhat elimination `bruhat_form` is the reference for
+`Chevalley.bruhat_cells`, the one elimination in `src/`, and through it for
+`Chevalley.bruhat_form`, `rank1_constants` and the module actions (`act_key`,
+`coset_key`, `induced_act_key`), so that `bruhat_cells` is never checked
+against itself.  `ModuleContext.act_key` and `Chevalley.bruhat_form` stay in
+`src/` because the benchmark's tracer wraps them; there they run through
+`bruhat_cells`.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from functools import reduce
 
 import numpy as np
 
-from bruhatlab import modules
+from bruhatlab import extlab, modules
 from bruhatlab.chevalley import BruhatForm
 
 # -- field tower ---------------------------------------------------------------
@@ -119,6 +123,70 @@ def is_upper_triangular(cx, A) -> bool:
     return all(A[i * m + j] == tw.ZERO for i in range(m) for j in range(i))
 
 
+def bruhat_form(cx, g) -> BruhatForm:
+    """The Bruhat form g = u * wdot(w) * t * v of one element by scalar pivot
+    elimination: column by column the pivot is the last unused row with a
+    nonzero entry; column operations clear the pivot row to its right and
+    build v, row operations clear the pivot column above it and build u.
+    The reference of Chevalley.bruhat_cells."""
+    tw, m, rs = cx.tower, cx.m, cx.rs
+    M = [list(g[i * m : (i + 1) * m]) for i in range(m)]
+    u_acc = [list(cx.identity[i * m : (i + 1) * m]) for i in range(m)]
+    v_acc = [list(cx.identity[i * m : (i + 1) * m]) for i in range(m)]
+    used = [False] * m
+    perm_col = [0] * m
+    for j in range(m):
+        piv = max(r for r in range(m) if not used[r] and M[r][j] != tw.ZERO)
+        used[piv] = True
+        perm_col[j] = piv
+        inv = tw.inv(M[piv][j])
+        # clear pivot row to the right (column ops; right factor)
+        for j2 in range(j + 1, m):
+            c = tw.mul(M[piv][j2], inv)
+            if c != tw.ZERO:
+                for r in range(m):
+                    M[r][j2] = tw.sub(M[r][j2], tw.mul(c, M[r][j]))
+                # v_acc <- (I + c E_{j,j2}) v_acc
+                for col in range(m):
+                    v_acc[j][col] = tw.add(v_acc[j][col], tw.mul(c, v_acc[j2][col]))
+        # clear pivot column upward (row ops; left factor)
+        for r in range(piv):
+            c = tw.mul(M[r][j], inv)
+            if c != tw.ZERO:
+                for j2 in range(m):
+                    M[r][j2] = tw.sub(M[r][j2], tw.mul(c, M[piv][j2]))
+                # u_acc <- u_acc (I + c E_{r,piv})
+                for row in range(m):
+                    u_acc[row][piv] = tw.add(u_acc[row][piv], tw.mul(c, u_acc[row][r]))
+    w = {x.perm: x for x in rs.elements}[tuple(perm_col)]
+    monomial = tuple(x for row in M for x in row)
+    t_mat = cx.mat_mul(cx.mat_inv(cx.wdot(w)), monomial)
+    t = cx.diag_of(t_mat)
+    assert t_mat == cx.torus(t), "pivot pattern mismatch"
+    # a row operation adds E_{r,piv} only where r pivots a later column, an
+    # inversion of the pivot pattern, so u_acc lies in U_{w^-1} already
+    u = tuple(x for row in u_acc for x in row)
+    inside = set(rs.phi_minus_pairs(rs.inv(w)))
+    off = [a * m + b for a, b in rs.pos_pairs if (a, b) not in inside]
+    assert all(u[i] == tw.ZERO for i in off), "left factor outside U_{w^-1}"
+    return BruhatForm(u=u, w=w, t=t, v=tuple(x for row in v_acc for x in row))
+
+
+def rank1_constants(cx, i: int, x):
+    """(f, h, g2) with sdot_i eps_i(x) sdot_i^{-1} = eps_i(f) sdot_i
+    coroot_i(h) eps_i(g2), read off the scalar Bruhat form of the left side:
+    the oracle of Chevalley.rank1_constants's closed form."""
+    s = cx.sdot(i)
+    bf = bruhat_form(cx, cx.mat_prod([s, cx.eps_simple(i, x), cx.mat_inv(s)]))
+    assert bf.w == cx.rs.s(i), "rank-1 element fell outside the s_i cell"
+    pos = (i - 1) * cx.m + i
+    f, h, g2 = bf.u[pos], bf.t[i - 1], bf.v[pos]
+    # the torus part is exactly coroot(i, h), and v a pure root element
+    assert bf.t == cx.diag_of(cx.coroot(i, h))
+    assert bf.v == cx.eps_simple(i, g2)
+    return f, h, g2
+
+
 def reassemble(cx, bf: BruhatForm):
     """The product u * wdot(w) * t * v of a Bruhat form."""
     return cx.mat_prod([bf.u, cx.wdot(bf.w), cx.torus(bf.t), bf.v])
@@ -168,11 +236,19 @@ def eval_B(chars, theta, b) -> int:
     return chars.eval_diag(theta, chars.chev.diag_of(b))
 
 
+def i_theta_at(chars, theta, k: int) -> frozenset:
+    """{i : theta trivial on the level-k piece of the i-th coroot torus};
+    Characters.i_theta is the top level, k = N."""
+    theta = chars.normalize(theta)
+    mk = chars.tower.level_size(k) - 1
+    return frozenset(i for i in chars.rs.I if theta[i - 1] % mk == 0)
+
+
 def level_consistent(chars, theta) -> bool:
     """I(theta) is the same at every level."""
-    top = chars.i_theta(theta, chars.tower.N)
+    top = chars.i_theta(theta)
     return all(
-        chars.i_theta(theta, k) == top for k in range(1, chars.tower.N + 1)
+        i_theta_at(chars, theta, k) == top for k in range(1, chars.tower.N + 1)
     )
 
 
@@ -206,6 +282,14 @@ def tagged_nullspace_coeffs(rows, ell: int) -> list:
         else:
             out.append(res[D:])
     return out
+
+
+def act_key(ctx, g, key) -> tuple:
+    """g . key in the Bruhat module one key at a time, through the scalar
+    bruhat_form of g * key: the image key (w, u) and the scale theta(t), the
+    oracle of KeyedModule._locate for J' empty."""
+    bf = bruhat_form(ctx.chev, ctx.chev.mat_mul(g, ctx.key_mat(key)))
+    return (bf.w, bf.u), ctx.chars.eval_diag(ctx.theta, bf.t)
 
 
 def act(mod, g, vec: dict) -> dict:
@@ -279,7 +363,7 @@ def coset_key(nb, g):
     through bruhat_form and peel_unipotent: the one-element oracle of
     KeyedModule._locate."""
     cx, rs, m = nb.chev, nb.rs, nb.chev.m
-    bf = cx.bruhat_form(g)
+    bf = bruhat_form(cx, g)
     x = rs.elements[nb._min_reps[rs.elements.index(bf.w)]]
     R = [list(bf.u[i * m : (i + 1) * m]) for i in range(m)]
     return (x, peel_unipotent(cx, R, rs.inv(x)))
@@ -291,6 +375,19 @@ def induced_act_key(nb, g, key) -> tuple:
     cx = nb.chev
     gk = cx.mat_mul(g, nb.key_mat(key))
     key2 = coset_key(nb, gk)
-    bf = cx.bruhat_form(cx.mat_mul(cx.mat_inv(nb.key_mat(key2)), gk))
+    bf = bruhat_form(cx, cx.mat_mul(cx.mat_inv(nb.key_mat(key2)), gk))
     assert set(bf.w.word) <= nb.Jp, "key^-1 g key outside P_J'"
     return key2, nb.chars.eval_diag(nb.theta, bf.t)
+
+
+# -- the central splitter ------------------------------------------------------
+
+
+def untwisted_extension(chars, lam, mu, J, K, k: int):
+    """A SynthExtension of the configuration without its twist: its matrices
+    are writable copies of the untwisted blocks of split_blocks."""
+    ext = extlab.SynthExtension(chars, lam, mu, J, K, k, seed=0)
+    blocks = extlab.split_blocks(chars, lam, mu, J, K, k)
+    ext.gens = [np.array(Mb) for Mb in blocks.gens]
+    ext.c0_mat = np.array(blocks.c0_block)
+    return ext

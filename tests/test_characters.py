@@ -9,7 +9,7 @@ from bruhatlab.characters import Characters, make_coeff_field
 from bruhatlab.chevalley import Chevalley
 from bruhatlab.fieldtower import build_tower
 from bruhatlab.rootdata import build_A
-from oracles import eval_B, iota, level_consistent
+from oracles import bruhat_form, eval_B, i_theta_at, iota, level_consistent
 
 
 def make(p, a, N, r):
@@ -72,14 +72,15 @@ def test_eval_coroot_minus_one_sl2_q3():
 
 def test_i_theta_spec_cases():
     ch = make(3, 1, 2, 1)
-    assert ch.i_theta((4,), 2) == frozenset()
-    assert ch.i_theta((4,), 1) == {1}
+    assert ch.i_theta((4,)) == i_theta_at(ch, (4,), 2) == frozenset()
+    assert i_theta_at(ch, (4,), 1) == {1}
     assert not level_consistent(ch, (4,))
-    assert ch.i_theta((0,), 2) == {1}
+    assert ch.i_theta((0,)) == i_theta_at(ch, (0,), 2) == {1}
     assert level_consistent(ch, (0,))
     # ambient triviality always implies lower-level triviality
     for e in range(8):
-        assert ch.i_theta((e,), 2) <= ch.i_theta((e,), 1)
+        assert ch.i_theta((e,)) == i_theta_at(ch, (e,), 2)
+        assert i_theta_at(ch, (e,), 2) <= i_theta_at(ch, (e,), 1)
 
 
 def test_eval_B_matches_diagonal():
@@ -129,7 +130,7 @@ def test_eval_parabolic_matches_per_element():
     assert ch.i_theta(theta) == {2}
     P = ch.chev.enum_P({2}, 2)[::7]
     got = ch.eval_parabolic(theta, {2}, np.array(P)).tolist()
-    want = [ch.eval_diag(theta, ch.chev.bruhat_form(p).t) for p in P]
+    want = [ch.eval_diag(theta, bruhat_form(ch.chev, p).t) for p in P]
     assert got == want
     assert set(want) != {1}
 

@@ -12,7 +12,8 @@ from bruhatlab import chevalley
 from bruhatlab.chevalley import Chevalley
 from bruhatlab.fieldtower import BudgetError, build_tower
 from bruhatlab.rootdata import build_A
-from oracles import det, from_word, peel_unipotent, reassemble
+from oracles import bruhat_form, det, from_word, peel_unipotent, reassemble
+from oracles import rank1_constants as rank1_oracle
 
 
 def ctx(p, a, N, r):
@@ -117,7 +118,7 @@ def test_bruhat_round_trip_exhaustive():
         cx = ctx(p, 1, 2, r)
         G = cx.enum_G(1)
         for g, cell in zip(G, _cells_by_row(cx, G)):
-            bf = cx.bruhat_form(g)
+            bf = bruhat_form(cx, g)
             assert reassemble(cx, bf) == g
             # u lies in U_{w^-1}: support inside phi_minus(w^-1)
             allowed = set(cx.rs.phi_minus_pairs(cx.rs.inv(bf.w)))
@@ -146,7 +147,7 @@ def test_bruhat_round_trip_random_level2():
         g = tuple(
             tw.mul(x, tw.inv(d)) if i < 3 else x for i, x in enumerate(g)
         )
-        bf = cx.bruhat_form(g)
+        bf = bruhat_form(cx, g)
         assert reassemble(cx, bf) == g
         seen.append((g, (bf.w, bf.u, bf.t)))
         count += 1
@@ -182,7 +183,7 @@ def det_one_matrices(draw):
 def test_bruhat_cell_matches_form_property(case):
     # one element through bruhat_cells against the bruhat_form oracle
     cx, g = case
-    bf = cx.bruhat_form(g)
+    bf = bruhat_form(cx, g)
     [(w, u, t)] = _cells_by_row(cx, [g])
     assert (w, u, t) == (bf.w, bf.u, bf.t)
     assert cx.mat_prod([u, cx.wdot(w), cx.torus(t), bf.v]) == g
@@ -205,6 +206,15 @@ def test_bruhat_cell_pivot_pattern_guard():
         cx.bruhat_cells(np.array([cx.identity, g]))
 
 
+@pytest.mark.parametrize("p,N,rank,k", [(2, 2, 2, 1), (3, 2, 1, 2)])
+def test_bruhat_form_matches_scalar_elimination(p, N, rank, k):
+    # Chevalley.bruhat_form is bruhat_cells on the one row plus v read off
+    # after it; every field, v included, against the scalar elimination
+    cx = ctx(p, 1, N, rank)
+    for g in cx.enum_G(k):
+        assert cx.bruhat_form(g) == bruhat_form(cx, g)
+
+
 def _cells_by_row(cx, G) -> list:
     """bruhat_cells of a list of elements, as one (w, u, t) per element."""
     widx, u, t = cx.bruhat_cells(np.array(G, dtype=np.int64))
@@ -216,7 +226,7 @@ def _cells_by_row(cx, G) -> list:
 
 def _forms(cx, G) -> list:
     """(w, u, t) of bruhat_form, the per-element oracle, for each element."""
-    return [(bf.w, bf.u, bf.t) for bf in map(cx.bruhat_form, G)]
+    return [(bf.w, bf.u, bf.t) for bf in (bruhat_form(cx, g) for g in G)]
 
 
 def test_bruhat_cells_match_bruhat_cell_on_level_one():
@@ -377,6 +387,20 @@ def test_rank1_rejects_zero():
         cx.rank1_constants(1, cx.tower.ZERO)
 
 
+# (p, N, rank): every nonzero x of the ambient field, so every level
+RANK1_GROUPS = [(2, 2, 1), (3, 2, 1), (5, 2, 1), (3, 3, 1), (2, 2, 2), (3, 2, 2), (2, 2, 3)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(RANK1_GROUPS), st.data())
+def test_rank1_closed_form_matches_scalar_elimination(group, data):
+    p, N, rank = group
+    cx = ctx(p, 1, N, rank)
+    i = data.draw(st.sampled_from(cx.rs.I))
+    x = data.draw(st.sampled_from(cx.tower.level_members(N)[1:]))
+    assert cx.rank1_constants(i, x) == rank1_oracle(cx, i, x)
+
+
 # -- enumerations -------------------------------------------------------------
 
 def test_group_orders():
@@ -401,7 +425,8 @@ def test_subgroup_sizes():
         assert len(cx.enum_U_w(cx.rs.w0, k)) == len(cx.enum_U(k))
     for w in cx.rs.elements:
         assert len(cx.enum_U_w(w, 1)) == 2 ** w.length
-        assert len(cx.enum_U_w(w, 1, plus=True)) == 2 ** (cx.rs.n - w.length)
+        # Phi_w^+ = Phi_{w0 w}^-
+        assert len(cx.enum_U_w(cx.rs.mul(cx.rs.w0, w), 1)) == 2 ** (cx.rs.n - w.length)
 
 
 def test_parabolic_enumeration():

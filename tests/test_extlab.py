@@ -37,7 +37,13 @@ from bruhatlab.modules import (
     spin_closure,
 )
 from bruhatlab.rootdata import build_A
-from oracles import pivots, tagged_nullspace_coeffs
+from oracles import (
+    act_key,
+    bruhat_form,
+    pivots,
+    tagged_nullspace_coeffs,
+    untwisted_extension,
+)
 
 FS = frozenset()
 
@@ -532,14 +538,14 @@ def _xi_oracle(ctx, u) -> tuple:
     def act_class(g, dense):
         out = np.zeros(mc.D, dtype=np.int64)
         for i in np.nonzero(dense)[0]:
-            key2, mult = mc.act_key(g, mc.keys[i])
+            key2, mult = act_key(mc, g, mc.keys[i])
             out[mc.key_index[key2]] = dense[i] * mult % ell
         return ctx.mu_E.project(out)
 
     eta = np.zeros(mc.D, dtype=np.int64)
     terms = []
     for p in cx.enum_P(ctx.Jp, ctx.i):
-        value = ctx.chars.eval_diag(ctx.lam, cx.bruhat_form(p).t)
+        value = ctx.chars.eval_diag(ctx.lam, bruhat_form(cx, p).t)
         terms.append((p, value))
         vec = act_class(cx.mat_prod([p, u, ctx.w0dot]), ctx.mu_E.C)
         eta = (eta + pow(value, -1, ell) * vec) % ell
@@ -869,7 +875,7 @@ def test_central_witness_is_canonical():
 
 def test_untwisted_synthesis_is_block_diagonal():
     ch = chars_for(3, 1, 2, 1)
-    ext = SynthExtension(ch, (1,), (0,), FS, FS, 1, seed=3, twist=False)
+    ext = untwisted_extension(ch, (1,), (0,), FS, FS, 1)
     ell, dl, n = ext.ell, ext.dl, ext.n
     M = ext.c0_mat
     assert np.array_equal(M[:dl, :dl], ext.a * np.eye(dl, dtype=np.int64) % ell)
@@ -946,7 +952,7 @@ def test_split_blocks_memo_matches_fresh_build():
         shared, [1 + m], (m,), set(), [], 1
     )
     # the untwisted extension off the shared memo is still block-diagonal
-    ext = SynthExtension(shared, (1,), (0,), FS, FS, 1, seed=3, twist=False)
+    ext = untwisted_extension(shared, (1,), (0,), FS, FS, 1)
     dl, n = ext.dl, ext.n
     assert np.array_equal(
         ext.c0_mat[:dl, :dl], 16 * np.eye(dl, dtype=np.int64)
@@ -966,11 +972,11 @@ def test_split_blocks_are_read_only():
 
 def test_split_instances_do_not_share_state():
     ch = chars_for(3, 1, 2, 1)
-    first = SynthExtension(ch, (1,), (0,), FS, FS, 1, seed=0, twist=False)
+    first = SynthExtension(ch, (1,), (0,), FS, FS, 1, seed=0)
     first.b = first.a
     first.c0_mat[:] = 0
     first.gens[0][:] = 0
-    second = SynthExtension(ch, (1,), (0,), FS, FS, 1, seed=0, twist=False)
+    second = SynthExtension(ch, (1,), (0,), FS, FS, 1, seed=0)
     assert (second.a, second.b) == (16, 1)
     dl, n = second.dl, second.n
     assert np.array_equal(
@@ -981,6 +987,10 @@ def test_split_instances_do_not_share_state():
     )
     assert second.gens[0].any()
     assert central_split(second)["complementary"]
+    # the same twist over a fresh memo: the shared blocks are untouched
+    fresh_chars = Characters(Chevalley(build_tower(3, 1, 2), build_A(1)))
+    fresh = SynthExtension(fresh_chars, (1,), (0,), FS, FS, 1, seed=0)
+    assert _split_fields(second) == _split_fields(fresh)
 
 
 def test_central_split_failure_names_its_witness():

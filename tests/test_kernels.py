@@ -317,15 +317,16 @@ def test_mat_mul_codes_matches_chevalley(p, N, rank):
 
 
 def _all_hits(cx, P, garr, Q, permuted=False) -> list:
-    tw, hits, idx = cx.tower, [], 0
+    """Every hit, each scan restarted past the last on the rest of garr."""
+    tw, hits, start = cx.tower, [], 0
     while True:
         idx = kern.scan_conj_upper(
-            P, garr, Q, cx.m, tw.zech, tw.Q1, idx, permuted=permuted
+            P, garr[start:], Q, cx.m, tw.zech, tw.Q1, permuted=permuted
         )
         if idx < 0:
             return hits
-        hits.append(idx)
-        idx += 1
+        hits.append(start + idx)
+        start += idx + 1
 
 
 def _oracle_hits(cx, P, G, Q) -> list:
@@ -426,8 +427,9 @@ def test_permuted_scan_first_hit_past_first_chunk(monkeypatch):
 
 @pytest.mark.parametrize("permuted", [False, True])
 def test_growing_chunks_find_the_first_hit(monkeypatch, permuted):
-    # SCAN_CHUNK = 8 gives chunks of 1, 2, 4, 8, 8, ... rows from `start`;
-    # from 0 their boundaries are 1, 3, 7, 15, 23, 31, 39
+    # SCAN_CHUNK = 8 gives chunks of 1, 2, 4, 8, 8, ... rows from the first
+    # row scanned; a scan from `start` scans garr[start:], and from 0 the
+    # boundaries are 1, 3, 7, 15, 23, 31, 39
     monkeypatch.setattr(kern, "SCAN_CHUNK", 8)
     cx = chev_for(5, 1, 1)
     tw, G = cx.tower, cx.enum_G(1)
@@ -454,10 +456,10 @@ def test_growing_chunks_find_the_first_hit(monkeypatch, permuted):
                 (i for i in range(start, len(rows)) if hit(rows[i])), -1
             )
             got = kern.scan_conj_upper(
-                _codes(P), garr, _codes(Q), cx.m, tw.zech, tw.Q1, start,
+                _codes(P), garr[start:], _codes(Q), cx.m, tw.zech, tw.Q1,
                 permuted=permuted,
             )
-            assert got == expect, (first, start)
+            assert (start + got if got >= 0 else -1) == expect, (first, start)
     only_misses = _codes(misses[:40])
     assert kern.scan_conj_upper(
         _codes(P), only_misses, _codes(Q), cx.m, tw.zech, tw.Q1,

@@ -14,6 +14,7 @@ from bruhatlab.fieldtower import BudgetError, build_tower
 from bruhatlab.rootdata import RootSystem, build_A
 from oracles import (
     act,
+    act_key,
     calibrate_scalar_convention,
     coset_key,
     eval_B,
@@ -135,6 +136,17 @@ def test_action_is_monomial_bijection():
         assert all(0 < s < ctx.ell for s in scale.tolist())
 
 
+def test_src_act_key_matches_oracle():
+    # ModuleContext.act_key goes through Chevalley.bruhat_form, so through
+    # bruhat_cells; the oracle through the scalar elimination
+    ctx = mod.ModuleContext(chars_for(2, 1, 2, 2), (1, 0), 2)
+    rng = random.Random(5)
+    G = ctx.generators() + [ctx.random_group_elt(rng) for _ in range(3)]
+    for g in G:
+        for key in ctx.keys[::7]:
+            assert ctx.act_key(g, key) == act_key(ctx, g, key)
+
+
 @pytest.mark.parametrize(
     "p, r, theta, k", [(3, 1, (1,), 1), (3, 1, (1,), 2), (2, 2, (1, 0), 2)]
 )
@@ -150,7 +162,7 @@ def test_act_stack_matches_per_key_action(p, r, theta, k, monkeypatch):
     want = np.zeros((len(G), ctx.D), dtype=np.int64)
     scales = set()
     for row, (g, (perm, scale)) in enumerate(zip(G, ctx.action_tables(G))):
-        oracle = [ctx.act_key(g, key) for key in ctx.keys]
+        oracle = [act_key(ctx, g, key) for key in ctx.keys]
         assert perm.tolist() == [ctx.key_index[key2] for key2, _ in oracle]
         assert scale.tolist() == [mult for _, mult in oracle]
         for i, (key2, mult) in enumerate(oracle):
