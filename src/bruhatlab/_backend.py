@@ -1,4 +1,5 @@
-"""The numpy kernels: F_ell reduced row echelon form and the Bruhat cell scan.
+"""The numpy kernels: F_ell reduced row echelon form, and stacked code-matrix
+products, Bruhat elimination, unipotent peel and Bruhat cell scan.
 
 Conventions:
   * F_ell vectors are numpy int64 arrays with entries in [0, ell).
@@ -17,8 +18,9 @@ Conventions:
     `red` and `shift`, give a product as red[a + b] and a sum as
     red[a + shift[b - a + Z]]; a zero operand lands at or above Z, which red
     sends to Z.  With the encoding table they hold about 9*Q entries, O(Q)
-    and never O(Q^2), built once per field.  Arrays are encoded on entry and
-    decoded on exit, so callers see canonical codes only.
+    and never O(Q^2), built once per field.  Only this module knows the
+    encoding: each kernel encodes its input once and decodes once, so
+    callers see canonical codes only.
 """
 
 from __future__ import annotations
@@ -137,19 +139,6 @@ def _code_tables(zech: np.ndarray, Q1: int) -> tuple:
     return red, shift, enc
 
 
-def _code_mul(a, b, zech: np.ndarray, Q1: int) -> np.ndarray:
-    """Products of canonical codes, elementwise with broadcasting."""
-    red, _, enc = _code_tables(zech, Q1)
-    return np.minimum(red[enc[a] + enc[b]], Q1)
-
-
-def _code_add(a, b, zech: np.ndarray, Q1: int) -> np.ndarray:
-    """Sums of canonical codes, elementwise with broadcasting."""
-    red, shift, enc = _code_tables(zech, Q1)
-    a, b = enc[a], enc[b]
-    return np.minimum(red[a + shift[b - a + 2 * Q1]], Q1)
-
-
 def _encode_stack(X, m: int, enc: np.ndarray, nb: int) -> np.ndarray:
     """Canonical (..., m*m) codes as an extended (m, m, ...) array, matrix
     axes first and padded to nb batch axes: each entry then runs over the
@@ -159,13 +148,17 @@ def _encode_stack(X, m: int, enc: np.ndarray, nb: int) -> np.ndarray:
     return out.reshape((m, m) + (1,) * (nb - X.ndim + 1) + X.shape[:-1])
 
 
+def _add_ext(a: np.ndarray, b: np.ndarray, red, shift) -> np.ndarray:
+    """Sums of extended codes, elementwise with broadcasting."""
+    Z = shift.shape[0] // 2  # shift is indexed by d + Z
+    return red[a + shift[b - a + Z]]
+
+
 def _mul_ext(A: np.ndarray, B: np.ndarray, m: int, red, shift) -> np.ndarray:
     """Products of extended (m, m, ...) code stacks, batch axes broadcast."""
-    Z = shift.shape[0] // 2  # shift is indexed by d + Z
     out = red[A[:, 0:1] + B[None, 0]]
     for k in range(1, m):
-        term = red[A[:, k:k + 1] + B[None, k]]
-        out = red[out + shift[term - out + Z]]
+        out = _add_ext(out, red[A[:, k:k + 1] + B[None, k]], red, shift)
     return out
 
 
@@ -181,6 +174,69 @@ def mat_mul_codes(A, B, m: int, zech: np.ndarray, Q1: int) -> np.ndarray:
     res = np.empty(out.shape[2:] + (m * m,), dtype=np.int64)
     np.minimum(out.reshape(m * m, -1).T, Q1, out=res.reshape(-1, m * m))
     return res
+
+
+def bruhat_eliminate(G, m: int, zech: np.ndarray, Q1: int) -> tuple:
+    """The pivot elimination of Chevalley.bruhat_cells on every row of an
+    (n, m*m) code array G at once, looping over m only: (perm, U, piv), with
+    perm[r, j] the pivot row of column j, U the (n, m*m) upper unitriangular
+    left factor and piv[r, j] the pivot entry.  ValueError for a singular row.
+
+    Column by column, the pivot is the last unused row with a nonzero entry;
+    row operations from it, which U collects, clear the column above it.
+    The column operations that would build the right factor then only zero
+    the pivot row right of the pivot, so that row is zeroed directly.  The
+    last column needs no row operations: every other row is a pivot row.
+    """
+    red, shift, enc = _code_tables(zech, Q1)
+    Z, minus_one = 2 * Q1, int((zech == Q1).argmax())  # zech marks 1 + g^k = 0
+    M = enc.take(np.asarray(G, dtype=np.int64)).reshape(-1, m, m)
+    n = M.shape[0]
+    rows = np.arange(n)
+    U = np.broadcast_to(np.where(np.eye(m, dtype=bool), 0, Z), M.shape).copy()
+    used = np.zeros((n, m), dtype=bool)
+    perm = np.empty((n, m), dtype=np.int64)
+    for j in range(m):
+        cand = ~used & (M[:, :, j] != Z)
+        if not cand.any(axis=1).all():
+            raise ValueError("singular matrix has no Bruhat cell")
+        piv = m - 1 - cand[:, ::-1].argmax(axis=1)  # last candidate row
+        used[rows, piv] = True
+        perm[:, j] = piv
+        if j == m - 1:
+            break
+        prow = M[rows, piv, j:]
+        neg_prow = red[prow + minus_one]
+        inv = (-prow[:, 0]) % Q1  # the pivot is nonzero
+        for r in range(m - 1):
+            c = np.where(r < piv, red[M[:, r, j] + inv], Z)
+            M[:, r, j:] = _add_ext(M[:, r, j:], red[c[:, None] + neg_prow], red, shift)
+            # U <- U (I + c E_{r,piv}); U is upper unitriangular
+            U[rows, :, piv] = _add_ext(U[rows, :, piv], red[c[:, None] + U[:, :, r]],
+                                       red, shift)
+        M[rows, piv, j + 1:] = Z
+    # the pivots are nonzero, so their extended codes are canonical already
+    piv = M[rows[:, None], perm, np.arange(m)]
+    return perm, np.minimum(U.reshape(n, m * m), Q1), piv
+
+
+def peel_unipotents(U, phi: np.ndarray, pairs, m: int, zech: np.ndarray, Q1: int) -> tuple:
+    """Split every row of an (n, m*m) code array U of upper unitriangular
+    matrices as U = u R, returning the code arrays (u, R): u is supported on
+    the positive pairs (a, b) that the (n, len(pairs)) mask phi marks for
+    that row, and R is zero there.  Peeling `pairs` in ascending height, then
+    by row, lets disturbances flow upward only."""
+    red, shift, enc = _code_tables(zech, Q1)
+    Z, minus_one = 2 * Q1, int((zech == Q1).argmax())  # zech marks 1 + g^k = 0
+    R = enc.take(np.asarray(U, dtype=np.int64)).reshape(-1, m, m)
+    u = np.broadcast_to(np.where(np.eye(m, dtype=bool), 0, Z), R.shape).copy()
+    for k, (a, b) in enumerate(pairs):
+        c = np.where(phi[:, k], R[:, a, b], Z)[:, None]
+        R[:, a, b:] = _add_ext(R[:, a, b:], red[red[c + minus_one] + R[:, b, b:]],
+                               red, shift)
+        # u <- u * eps((a, b), c): add c times column a to column b
+        u[:, :a + 1, b] = _add_ext(u[:, :a + 1, b], red[c + u[:, :a + 1, a]], red, shift)
+    return np.minimum(u, Q1).reshape(-1, m * m), np.minimum(R, Q1).reshape(-1, m * m)
 
 
 # the zero-pattern tables of each matrix size seen: m -> (bit, in_B, in_BN)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chevalley import Chevalley, Mat
-from .fieldtower import _is_prime, _prime_factors
+from .fieldtower import is_prime, prime_factors
 
 PRIME_SEARCH_BOUND = 2**31
 
@@ -31,9 +31,9 @@ class CoeffField:
 
 def _smallest_primitive_root(ell: int) -> int:
     phi = ell - 1
-    prime_factors = _prime_factors(phi)
+    factors = prime_factors(phi)
     for w in range(2, ell):
-        if all(pow(w, phi // f, ell) != 1 for f in prime_factors):
+        if all(pow(w, phi // f, ell) != 1 for f in factors):
             return w
     raise AssertionError("no primitive root (impossible for prime modulus)")
 
@@ -46,7 +46,7 @@ def make_coeff_field(
     roots of unity (ValueError otherwise)."""
     modulus = q**math.factorial(N) - 1
     if ell:
-        if not _is_prime(ell):
+        if not is_prime(ell):
             raise ValueError("ell override must be prime")
         if (ell - 1) % modulus:
             raise ValueError("ell override lacks the needed roots of unity")
@@ -55,7 +55,7 @@ def make_coeff_field(
         while True:
             if ell > PRIME_SEARCH_BOUND:
                 raise RuntimeError("prime search exceeded 2^31")
-            if _is_prime(ell):
+            if is_prime(ell):
                 break
             ell += modulus
     if ell == 2:

@@ -6,8 +6,9 @@ form g = u * wdot(w) * t * v with u supported on Phi_{w^-1}^-, rank-1
 structure constants, and canonical enumeration of U_k, T_k, B_k, G_k,
 parabolic subsets and centers at each tower level.
 
-One pivot elimination, `bruhat_cells`, finds the Bruhat cell (w, u, t) of
-every row of a code array at once; every module action runs through it.
+Stacked code arithmetic runs in the kernels of _backend.  `bruhat_cells`
+finds the Bruhat cell (w, u, t) of every row of a code array at once, from
+the kernel bruhat_eliminate; every module action runs through it.
 `bruhat_form` is that elimination on one element, with the right factor
 v = (u * wdot(w) * t)^-1 * g read off after it.  In src/ only the per-key
 `ModuleContext.act_key` oracle calls `bruhat_form`; both names stay
@@ -229,81 +230,35 @@ class Chevalley:
         """(w, u, t) of the Bruhat form of every row of an (n, m*m) code array G.
 
         Returns (widx, u, t): w = rs.elements[widx[r]], u an (n, m*m) and t
-        an (n, m) code array.  Column by column, the pivot is the last unused
-        row with a nonzero entry, and row operations from the pivot row clear
-        the column above it; the scalar form of this elimination, which also
-        builds v, is the oracle in tests/oracles.py.  It runs on every row at
-        once, looping over m only, with each step's row operations first:
-        once they have cleared the pivot column, the column operations that
-        would build v only zero the pivot row right of the pivot, so that row
-        is zeroed directly.  The last column needs no row operations, since
-        every other row is then a used pivot row.  Two checks: the pivot
-        pattern against _wdot_inv_rows, and u inside U_{w^-1}.
-        """
+        an (n, m) code array; ValueError for a singular row.  The kernel
+        bruhat_eliminate gives the pivot pattern, which names w and is checked
+        against _wdot_inv_rows, the pivots, which give t, and u, checked to
+        lie in U_{w^-1}.  The scalar elimination is the oracle in
+        tests/oracles.py."""
         tw, m = self.tower, self.m
-        Q1, minus_one = tw.Q1, tw.neg(tw.ONE)
-        mul, add = self._mul_codes, self._add_codes
         cols, vals, phi, by_code = self._cells_tables()
-        M = np.array(G, dtype=np.int64).reshape(-1, m, m)
-        n = M.shape[0]
-        rows = np.arange(n)
-        eye = np.array(self.identity, dtype=np.int64).reshape(m, m)
-        U = np.broadcast_to(eye, (n, m, m)).copy()
-        used = np.zeros((n, m), dtype=bool)
-        perm = np.empty((n, m), dtype=np.int64)
-        for j in range(m):
-            cand = ~used & (M[:, :, j] != Q1)
-            if not cand.any(axis=1).all():
-                raise ValueError("singular matrix has no Bruhat cell")
-            piv = m - 1 - cand[:, ::-1].argmax(axis=1)  # last candidate row
-            used[rows, piv] = True
-            perm[:, j] = piv
-            if j == m - 1:
-                break
-            prow = M[rows, piv, j:]
-            neg_prow = mul(prow, minus_one)
-            inv = (-prow[:, 0]) % Q1
-            for r in range(m - 1):
-                c = np.where(r < piv, mul(M[:, r, j], inv), Q1)
-                M[:, r, j:] = add(M[:, r, j:], mul(c[:, None], neg_prow))
-                # U <- U (I + c E_{r,piv}); U is upper unitriangular
-                U[rows, :, piv] = add(U[rows, :, piv], mul(c[:, None], U[:, :, r]))
-            M[rows, piv, j + 1:] = Q1
+        perm, U, piv = kern.bruhat_eliminate(G, m, tw.zech, tw.Q1)
         widx = by_code[perm @ (m ** np.arange(m))]
         assert (cols[widx] == perm).all(), "pivot pattern mismatch"
-        t = mul(vals[widx], M[rows[:, None], perm, np.arange(m)])
+        # row i of wdot(w)^-1 has vals[i] in column perm[i], which holds the
+        # pivot of column i; both are nonzero, so their product adds codes
+        t = (vals[widx] + piv) % tw.Q1
         # a row operation adds E_{r,piv} only where r pivots a later column,
         # an inversion of the pivot pattern, so U lies in U_{w^-1} already:
         # peeling it would split off the identity
         upper = [a * m + b for a, b in self.rs.pos_pairs]
-        off = (U.reshape(n, m * m)[:, upper] != Q1) & ~phi[widx]
+        off = (U[:, upper] != tw.ZERO) & ~phi[widx]
         assert not off.any(), "left factor outside U_{w^-1}"
-        return widx, U.reshape(n, m * m), t
+        return widx, U, t
 
     def peel_unipotents(self, U, widx) -> tuple:
         """Split every row of an (n, m*m) code array U of upper
         unitriangular matrices on Phi_{w^-1}^-, w = rs.elements[widx[r]] for
         row r.  Returns the code arrays (u, R) with U = u R row by row, u
-        supported on Phi_{w^-1}^- and R zero there.  The positive pairs are
-        peeled in ascending height, then by row, so disturbances flow upward
-        only and R ends up zero at every peeled position."""
-        tw, m = self.tower, self.m
-        mul, add = self._mul_codes, self._add_codes
+        supported on Phi_{w^-1}^- and R zero there."""
+        tw = self.tower
         phi = self._cells_tables()[2][widx]
-        R = np.array(U, dtype=np.int64).reshape(-1, m, m)
-        u = np.broadcast_to(np.array(self.identity).reshape(m, m), R.shape).copy()
-        for k, (a, b) in enumerate(self.rs.pos_pairs):
-            c = np.where(phi[:, k], R[:, a, b], tw.Q1)[:, None]
-            R[:, a, b:] = add(R[:, a, b:], mul(mul(c, tw.neg(tw.ONE)), R[:, b, b:]))
-            # u <- u * eps((a, b), c): add c times column a to column b
-            u[:, :a + 1, b] = add(u[:, :a + 1, b], mul(c, u[:, :a + 1, a]))
-        return u.reshape(-1, m * m), R.reshape(-1, m * m)
-
-    def _mul_codes(self, a, b):
-        return kern._code_mul(a, b, self.tower.zech, self.tower.Q1)
-
-    def _add_codes(self, a, b):
-        return kern._code_add(a, b, self.tower.zech, self.tower.Q1)
+        return kern.peel_unipotents(U, phi, self.rs.pos_pairs, self.m, tw.zech, tw.Q1)
 
     # -- rank-1 structure constants ---------------------------------------------
 

@@ -36,28 +36,24 @@ UNIPOTENT_BUDGET = 10**6
 SCAN_BUDGET = 10**8
 _PROBE_SEED = 414243
 
-# shared state for forked census workers; set right before the pool spawns
-_WORK: "ExtContext | None" = None
+# the function a forked _pmap maps: set by _pmap right before its pool forks,
+# so the workers inherit it, and cleared when the map ends
+_WORK = None
 
 
-def _census_pair_worker(u) -> tuple:
-    ctx = _WORK
-    return (
-        ctx.claim_club(u),
-        bool(ctx.xi(u, check_eigen=False)["xi_nonzero"]),
-    )
-
-
-def _gamma_hit_worker(u) -> bool:
-    return _WORK.gamma_hit(u)
+def _run_work(x):
+    return _WORK(x)
 
 
 def _pmap(fn, items, jobs: int) -> list:
     """Order-preserving map, forked across `jobs` workers when asked.
 
     Results must not depend on the schedule: workers only read the shared
-    context, so the output list is identical for every jobs value.
+    context, so the output list is identical for every jobs value.  The
+    pool maps the module-level _run_work, which calls fn through _WORK, so
+    fn may be any callable; _WORK holds it only while the pool runs.
     """
+    global _WORK
     items = list(items)
     if jobs <= 1 or len(items) < 2:
         return [fn(x) for x in items]
@@ -68,8 +64,12 @@ def _pmap(fn, items, jobs: int) -> list:
     except ValueError:
         return [fn(x) for x in items]
     chunk = max(1, len(items) // (4 * jobs))
-    with pool_ctx.Pool(jobs) as pool:
-        return pool.map(fn, items, chunksize=chunk)
+    _WORK = fn
+    try:
+        with pool_ctx.Pool(jobs) as pool:
+            return pool.map(_run_work, items, chunksize=chunk)
+    finally:
+        _WORK = None
 
 
 def nullspace_coeffs(rows, ell: int) -> np.ndarray:
@@ -298,15 +298,12 @@ class ExtContext:
 
     def gamma_set(self, jobs: int = 1) -> list:
         if self._gamma is None:
-            global _WORK
             omega = self.omega_set()
             requested = len(omega) * len(self._noncentral_level_i())
             if requested > SCAN_BUDGET:
                 raise BudgetError("gamma scan", "membership", "SCAN_BUDGET",
                                   SCAN_BUDGET, requested, "conjugations")
-            _WORK = self
-            hits = _pmap(_gamma_hit_worker, omega, jobs)
-            _WORK = None
+            hits = _pmap(self.gamma_hit, omega, jobs)
             self._gamma = [u for u, hit in zip(omega, hits) if hit]
         return self._gamma
 
@@ -396,7 +393,6 @@ class ExtContext:
         return self.U_list[0], "level_i_fallback"
 
     def census(self, jobs: int = 1) -> dict:
-        global _WORK
         rs = self.rs
         per_w = []
         for w in rs.elements:
@@ -418,9 +414,10 @@ class ExtContext:
             )
         omega = self.omega_set()
         gamma = self.gamma_set(jobs=jobs)
-        _WORK = self
-        pairs = _pmap(_census_pair_worker, omega, jobs)
-        _WORK = None
+        pairs = _pmap(
+            lambda u: (self.claim_club(u), bool(self.xi(u, check_eigen=False)["xi_nonzero"])),
+            omega, jobs,
+        )
         club_true = 0
         xi_nonzero = 0
         failing = None  # first u of omega where the club holds and xi vanishes

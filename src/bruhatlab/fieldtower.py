@@ -40,7 +40,7 @@ class BudgetError(Exception):
         )
 
 
-def _is_prime(n: int) -> bool:
+def is_prime(n: int) -> bool:
     if n < 2:
         return False
     for t in range(2, math.isqrt(n) + 1):
@@ -49,7 +49,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _prime_factors(n: int) -> list[int]:
+def prime_factors(n: int) -> list[int]:
     out = []
     t = 2
     while t * t <= n:
@@ -144,7 +144,7 @@ def _find_irreducible(p: int, d: int) -> list[int]:
     """Digits of the non-leading part of the least monic irreducible of degree d."""
     if d == 1:
         return [0]  # X itself
-    primes = _prime_factors(d)
+    primes = prime_factors(d)
     for packed in range(p**d):
         fdigs = _digits(packed, p, d)
         # X^{p^d} == X mod f
@@ -167,7 +167,7 @@ class FieldTower:
     """Ambient field F_{q^{N!}} with Frobenius-level subfield structure."""
 
     def __init__(self, p: int, a: int, N: int):
-        if not _is_prime(p):
+        if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         if a < 1 or not 1 <= N <= 3:
             raise ValueError("need a >= 1 and 1 <= N <= 3")
@@ -184,7 +184,7 @@ class FieldTower:
         self._fdigs = _find_irreducible(p, d)
 
         # ambient generator: least packed element of full multiplicative order
-        factors = _prime_factors(self.Q1) if self.Q1 > 1 else []
+        factors = prime_factors(self.Q1) if self.Q1 > 1 else []
         gen_packed = None
         for cand in range(1, self.Q):
             if all(

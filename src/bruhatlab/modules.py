@@ -1,9 +1,10 @@
 """Principal series modules with Bruhat bases over F_ell.
 
-A module vector is a sparse dict {(w, u): coeff} where (w, u) names the basis
-element u * wdot(w) * highest_vector; u runs over the level-k points of the
-unipotent group attached to Phi_{w^-1}^-.  Keys are level-agnostic, so the
-level-k module literally embeds in the level-(k+1) one.
+A module vector is a dense int64 array of residues in [0, ell), one entry
+per basis key (w, u) in the order of `keys`; the key names the basis
+element u * wdot(w) * highest_vector, and u runs over the level-k points of
+the unipotent group attached to Phi_{w^-1}^-.  Keys are level-agnostic, so
+the level-k module literally embeds in the level-(k+1) one.
 
 The action of any group element is monomial on this basis (it permutes keys
 and scales by a character value), which makes spans and spin-up closures
@@ -211,9 +212,9 @@ class KeyedModule:
         self._tables: dict = {}
         self._etas: dict = {}
         self._samples: list | None = None
-        self._build_code_tables()
+        self._build_key_tables()
 
-    def _build_code_tables(self) -> None:
+    def _build_key_tables(self) -> None:
         """The key matrices as a (D, m*m) code array, the index of each code
         in level_members(k) (-1 outside level k), and per Weyl element w
         (in rs.elements order) the index of its key (w, 1), -1 when w is not
@@ -244,18 +245,6 @@ class KeyedModule:
             w, u = key
             self._key_mats[key] = self.chev.mat_mul(u, self.chev.wdot(w))
         return self._key_mats[key]
-
-    def to_dense(self, vec: dict) -> np.ndarray:
-        out = np.zeros(self.D, dtype=np.int64)
-        for key, c in vec.items():
-            out[self.key_index[key]] = c % self.ell
-        return out
-
-    def from_dense(self, arr) -> dict:
-        return {
-            self.keys[i]: int(arr[i]) % self.ell
-            for i in np.nonzero(arr)[0]
-        }
 
     # -- the module action -----------------------------------------------------
 
@@ -382,16 +371,19 @@ class KeyedModule:
     def i_theta(self) -> frozenset:
         return self.chars.i_theta(self.theta)
 
-    def eta(self, J) -> dict:
+    def eta(self, J) -> np.ndarray:
         """Alternating sum of the wdot(w)-translates of the one key, w in W_J
-        (alternating_sum), computed once per J."""
+        (alternating_sum), computed once per J and returned read-only."""
         J = frozenset(J)
         if not J <= self.i_theta():
             raise ValueError("J must be contained in I(theta)")
         if J not in self._etas:
-            eta = self.alternating_sum(J, self.to_dense({self.one_key: 1}))
-            self._etas[J] = self.from_dense(eta)
-        return dict(self._etas[J])
+            one = np.zeros(self.D, dtype=np.int64)
+            one[self.key_index[self.one_key]] = 1
+            eta = self.alternating_sum(J, one)
+            eta.setflags(write=False)
+            self._etas[J] = eta
+        return self._etas[J]
 
     def generators(self) -> list[Mat]:
         return level_generators(self.chev, self.k)
@@ -472,7 +464,7 @@ class ModuleContext(KeyedModule):
             N = N.union(self._spin_eta(J | S))
         if not N.leq(M):
             raise AssertionError("N(theta)_J escaped M(theta)_J")
-        C = N.residue(self.to_dense(self.eta(J)))
+        C = N.residue(self.eta(J))
         return EModule(ctx=self, J=J, M=M, N=N, C=C)
 
     def predicted_dim(self, J) -> int:
@@ -497,7 +489,7 @@ class ModuleContext(KeyedModule):
             for u in cx.enum_U_w(rs.mul(wJ, rs.inv(w)), self.k)
         ]
         span = Subspace(self.D, self.ell)
-        imgs = em.project(self.act_stack(gs, self.to_dense(self.eta(J))))
+        imgs = em.project(self.act_stack(gs, self.eta(J)))
         independent = bool((span.extend(imgs) >= 0).all())
         num = len(gs)
         predicted = self.predicted_dim(J)
@@ -528,7 +520,7 @@ class ModuleContext(KeyedModule):
                 wd, f = cx.wdot(w), cx.rank1_constants(i, x)[0]
                 gs += [wd, cx.mat_prod([cx.sdot(i), cx.eps_simple(i, x), wd]),
                        cx.mat_mul(cx.eps_simple(i, f), wd)]
-            imgs = self.act_stack(gs, self.to_dense(self.eta(J)))
+            imgs = self.act_stack(gs, self.eta(J))
             self._straightening[J] = dict(zip(inst, imgs.reshape(-1, 3, self.D)))
         return self._straightening[J]
 
@@ -639,14 +631,14 @@ def _image_chunks(mod, tables, vecs):
 
 
 def spin_closure(mod, seeds, gens=None) -> Subspace:
-    """Smallest subspace containing seeds and stable under the generators:
-    the one spin-up routine, for a module, a quotient (`EModule`) or a
-    direct sum of them (`DirectSum`, whose spin of a pair (v, w) is the
-    graph of the equivariant map v -> w when it has no pivot past v).
+    """Smallest subspace containing the dense seeds and stable under the
+    generators: the one spin-up routine, for a module, a quotient
+    (`EModule`) or a direct sum of them (`DirectSum`, whose spin of a pair
+    (v, w) is the graph of the equivariant map v -> w when it has no pivot
+    past v).
 
     `mod` provides D, ell, action_tables() and apply_table(), and also
-    generators() and stability_samples() when `gens` is None, and
-    to_dense() for seeds given as sparse dicts rather than dense arrays.
+    generators() and stability_samples() when `gens` is None.
 
     The spin runs by frontiers.  The first frontier is the echelon rows of
     the seeds; each round applies every generator table to the whole
@@ -664,9 +656,7 @@ def spin_closure(mod, seeds, gens=None) -> Subspace:
     the check cannot fail, and its samples are not even drawn.
     """
     S = Subspace(mod.D, mod.ell)
-    piv = S.extend(
-        [mod.to_dense(seed) if isinstance(seed, dict) else seed for seed in seeds]
-    )
+    piv = S.extend(seeds)
     frontier = S.rows[piv[piv >= 0]]
     tables = mod.action_tables(mod.generators() if gens is None else gens)
     while len(frontier) and S.dim < mod.D:

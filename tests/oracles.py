@@ -292,9 +292,22 @@ def act_key(ctx, g, key) -> tuple:
     return (bf.w, bf.u), ctx.chars.eval_diag(ctx.theta, bf.t)
 
 
+def to_dense(mod, vec: dict) -> np.ndarray:
+    """The module vector of a sparse vector {key: coeff}."""
+    out = np.zeros(mod.D, dtype=np.int64)
+    for key, c in vec.items():
+        out[mod.key_index[key]] = c % mod.ell
+    return out
+
+
+def from_dense(mod, arr) -> dict:
+    """The sparse vector {key: coeff} of a module vector, zeros left out."""
+    return {mod.keys[i]: int(arr[i]) % mod.ell for i in np.nonzero(arr)[0]}
+
+
 def act(mod, g, vec: dict) -> dict:
     """g . vec on sparse vectors, through the stacked action."""
-    return mod.from_dense(mod.act_stack([g], mod.to_dense(vec))[0])
+    return from_dense(mod, mod.act_stack([g], to_dense(mod, vec))[0])
 
 
 def key_json(ctx, key) -> list:
@@ -305,10 +318,10 @@ def key_json(ctx, key) -> list:
     return [list(w.word), entries]
 
 
-def vec_json(ctx, vec: dict) -> list:
-    """A sparse vector as [key_json, coefficient] pairs in key order."""
-    items = sorted(vec.items(), key=lambda kv: ctx.key_index[kv[0]])
-    return [[key_json(ctx, key), int(c)] for key, c in items]
+def vec_json(ctx, vec) -> list:
+    """A module vector as [key_json, coefficient] pairs, its nonzero entries
+    in key order."""
+    return [[key_json(ctx, key), c] for key, c in from_dense(ctx, vec).items()]
 
 
 def simplicity_probe(em, samples: int = 5) -> bool:
@@ -323,7 +336,7 @@ def simplicity_probe(em, samples: int = 5) -> bool:
         vec = (vec + rng.randrange(1, em.ell) * rng.choice(reps)) % em.ell
         if em.N.contains(vec):
             continue
-        S = em.ctx.spin([em.ctx.from_dense(vec)])
+        S = em.ctx.spin([vec])
         if S.union(em.N).dim != em.M.dim:
             return False
     return True

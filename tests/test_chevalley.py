@@ -154,6 +154,32 @@ def test_bruhat_round_trip_random_level2():
     assert _cells_by_row(cx, [g for g, _ in seen]) == [form for _, form in seen]
 
 
+def _singular(cx, g, case):
+    """g with its last column zeroed, or with row 0 copied into row 1."""
+    m, rows = cx.m, [list(g[i * cx.m:(i + 1) * cx.m]) for i in range(cx.m)]
+    if case == "zero column":
+        for row in rows:
+            row[m - 1] = cx.tower.ZERO
+    else:
+        rows[1] = list(rows[0])
+    return tuple(x for row in rows for x in row)
+
+
+@pytest.mark.parametrize("case", ["zero column", "repeated row"])
+@pytest.mark.parametrize("p,rank", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_bruhat_cells_reject_a_singular_row(p, rank, case):
+    # one singular row among invertible ones fails the whole stack; the
+    # stack without it has a cell for every row
+    cx = ctx(p, 1, 1, rank)
+    rng = random.Random(p * 10 + rank)
+    G = rng.sample(cx.enum_G(1), 6)
+    bad = _singular(cx, G[2], case)
+    assert det(cx, bad) == cx.tower.ZERO
+    assert len(cx.bruhat_cells(np.array(G))[0]) == 6
+    with pytest.raises(ValueError, match="singular matrix has no Bruhat cell"):
+        cx.bruhat_cells(np.array(G[:3] + [bad] + G[3:]))
+
+
 def _det_one(cx, entries):
     """The matrix with the given entries, first row scaled to det 1; None
     when singular."""

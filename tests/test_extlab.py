@@ -40,8 +40,10 @@ from bruhatlab.rootdata import build_A
 from oracles import (
     act_key,
     bruhat_form,
+    from_dense,
     pivots,
     tagged_nullspace_coeffs,
+    to_dense,
     untwisted_extension,
 )
 
@@ -360,6 +362,21 @@ def test_census_names_first_failing_u(monkeypatch, jobs):
     assert cen["first_failing_u"] == ctx.u_serial(ctx.omega_set()[2]) == [4]
     del cen["first_failing_u"]
     assert set(cen) == set(passing)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_census_that_raises_leaves_no_work_slot(monkeypatch, jobs):
+    # the slot a forked map reads holds the mapped function only while its
+    # pool runs, so a worker that raises does not keep the context alive
+    ctx = ExtContext(chars_for(3, 1, 2, 1), (1,), (1,), FS, FS, 1)
+
+    def failing_xi(self, u, check_eigen=True):
+        raise RuntimeError("xi failed")
+
+    monkeypatch.setattr(ExtContext, "xi", failing_xi)
+    with pytest.raises(RuntimeError, match="xi failed"):
+        ctx.census(jobs=jobs)
+    assert extlab._WORK is None
 
 
 def test_census_jobs_parity():
@@ -804,7 +821,7 @@ def test_two_step_gluing_composes():
     def tau(small, big, em_big, dense):
         # reinterpret the residue over the larger level, then reduce again;
         # legal because the smaller relation span sits inside the larger one
-        return em_big.project(big.to_dense(small.from_dense(dense)))
+        return em_big.project(to_dense(big, from_dense(small, dense)))
 
     def step1(vl, vm):
         img = s1.apply(vl)

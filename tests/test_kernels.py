@@ -2,7 +2,8 @@
 
 The echelon tests are properties over small random subspaces, checked
 against an independent rank computation.  The table-driven code arithmetic
-is compared with the tower's scalar ops on every pair of codes.  The scan
+is compared, through 2 x 2 products, with the tower's scalar ops on every
+pair of codes.  The scan
 tests compare the batched code-matrix product with the object-level
 `Chevalley` arithmetic it replaces: products, every hit of a restarted
 scan, and the club and gamma memberships of every u in U_{i+1}.
@@ -257,18 +258,23 @@ ARITH_TOWERS = [(2, 1, 1), (3, 1, 1), (2, 2, 1), (3, 1, 2), (2, 1, 3), (11, 1, 2
 
 @pytest.mark.parametrize("p,a,N", ARITH_TOWERS)
 def test_code_arithmetic_matches_scalar_ops_on_every_pair(p, a, N):
+    # through 2 x 2 products, entry (0, 0): [[x, y], [0, 0]] [[1, 0], [1, 0]]
+    # is x + y, and diag(x, 0) diag(y, 0) is x y
     tw = build_tower(p, a, N)
-    codes = np.arange(tw.Q1 + 1)  # zero (code Q1) included
-    A, B = codes[:, None], codes[None, :]
-    prod = kern._code_mul(A, B, tw.zech, tw.Q1)
-    summ = kern._code_add(A, B, tw.zech, tw.Q1)
-    assert prod.shape == summ.shape == (tw.Q, tw.Q)
+    Z, one = tw.ZERO, tw.ONE
+    # every pair of codes, zero (code Q1) included
+    X, Y = np.meshgrid(np.arange(tw.Q), np.arange(tw.Q), indexing="ij")
+    X, Y, zeros = X.ravel(), Y.ravel(), np.full(tw.Q * tw.Q, Z)
+    ones = np.array([one, Z, one, Z])
+    summ = kern.mat_mul_codes(np.stack([X, Y, zeros, zeros], axis=1), ones, 2, tw.zech, tw.Q1)
+    prod = kern.mat_mul_codes(np.stack([X, zeros, zeros, zeros], axis=1),
+                              np.stack([Y, zeros, zeros, zeros], axis=1), 2, tw.zech, tw.Q1)
+    summ, prod = summ[:, 0].reshape(tw.Q, tw.Q), prod[:, 0].reshape(tw.Q, tw.Q)
     for x in range(tw.Q):
         assert prod[x].tolist() == [tw.mul(x, y) for y in range(tw.Q)]
         assert summ[x].tolist() == [tw.add(x, y) for y in range(tw.Q)]
     # the sums that vanish: x + (-x), which in char 2 is 1 + 1 (zech[0]
     # marks it), and zero + zero
-    Z = tw.ZERO
     assert summ[Z, Z] == Z
     for x in range(tw.Q1):
         assert summ[x, tw.neg(x)] == Z

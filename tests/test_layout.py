@@ -7,11 +7,16 @@ the tests call belongs in tests/oracles.py, as a function over the package's
 public objects; a behaviour that only the tests switch on is reached through
 the public objects from the tests.
 
-Both checks go by name and one level deep.  A method counts as referenced
-when its name is read as an attribute anywhere in src/, a module-level
-function also when its name is read as a plain name.  So a callable whose
-only caller is itself unreferenced is not caught until that caller goes,
-and a name that another callable or variable shares counts as referenced.
+A third check keeps private names private: an underscore-named function
+or variable of a module is used only inside that module, so src/ has no
+`from .m import _name` and no `m._name` read through a module alias.
+
+The first two checks go by name and one level deep.  A method counts as
+referenced when its name is read as an attribute anywhere in src/, a
+module-level function also when its name is read as a plain name.  So a
+callable whose only caller is itself unreferenced is not caught until that
+caller goes, and a name that another callable or variable shares counts as
+referenced.
 A defaulted parameter counts as set when some call in src/ of a callable of
 that name (for `__init__`, of the class or of any `__init__`) passes it by
 keyword, passes enough positional arguments to reach it, or unpacks `*args`
@@ -162,3 +167,33 @@ def test_src_sets_every_defaulted_parameter():
     # an allowance outlives its parameter only by mistake
     defaulted = {f"{fn}({param})" for _, fn, param, _, _ in _defaulted_parameters()}
     assert set(ALLOWED_DEFAULTS) <= defaulted
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_src_reads_no_private_name_of_another_module():
+    modules = {path.stem for path in SRC.rglob("*.py")}
+    leaks = []
+    for path, tree in _trees():
+        aliases = set()  # names bound to a module of src/ in this file
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or node.level == 0:
+                continue
+            for alias in node.names:
+                if node.module is None and alias.name in modules:
+                    aliases.add(alias.asname or alias.name)
+                elif node.module is not None and _private(alias.name):
+                    leaks.append(f"{path.name}:{node.lineno} "
+                                 f"from .{node.module} import {alias.name}")
+        leaks += [
+            f"{path.name}:{node.lineno} {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and _private(node.attr)
+            and isinstance(node.value, ast.Name) and node.value.id in aliases
+        ]
+    assert not leaks, (
+        "private name of one module used in another; make it public or "
+        f"move its use into its module: {leaks}"
+    )

@@ -18,9 +18,11 @@ from oracles import (
     calibrate_scalar_convention,
     coset_key,
     eval_B,
+    from_dense,
     induced_act_key,
     induced_module,
     simplicity_probe,
+    to_dense,
     vec_json,
 )
 
@@ -124,7 +126,7 @@ def test_action_rejects_wrong_level():
     with pytest.raises(ValueError):
         act(ctx, g, one_vec(ctx))
     with pytest.raises(ValueError):
-        ctx.act_stack(np.array([ctx.chev.identity, g]), ctx.to_dense(one_vec(ctx)))
+        ctx.act_stack(np.array([ctx.chev.identity, g]), to_dense(ctx, one_vec(ctx)))
 
 
 def test_action_is_monomial_bijection():
@@ -215,7 +217,7 @@ def test_tables_of_a_higher_level_central_element():
     with pytest.raises(ValueError):
         act(ctx, c0, one_vec(ctx))
     with pytest.raises(ValueError):
-        ctx.act_stack(np.array([c0]), ctx.to_dense(one_vec(ctx)))
+        ctx.act_stack(np.array([c0]), to_dense(ctx, one_vec(ctx)))
     # a noncentral element outside level 1 moves some key outside it
     outside = next(c for c in ch.tower.level_members(2) if not ch.tower.in_level(c, 1))
     with pytest.raises(ValueError, match="image key"):
@@ -245,6 +247,15 @@ def test_eta_requires_J_inside_compatible_set():
         ctx.e_module({1, 2})
 
 
+def test_eta_is_one_cached_read_only_vector():
+    ctx = mod.ModuleContext(chars_for(2, 1, 2, 2), (0, 0), 1)
+    eta = ctx.eta({1, 2})
+    assert eta is ctx.eta(frozenset({1, 2}))
+    assert eta.shape == (ctx.D,) and eta.dtype == np.int64
+    with pytest.raises(ValueError, match="read-only"):
+        eta[0] = 0
+
+
 def test_eta_alternate_reduced_words_agree():
     ctx = ctx_for(2, 1, 2, 2, (0, 0), 1)
     cx = ctx.chev
@@ -258,8 +269,8 @@ def test_eta_alternate_reduced_words_agree():
         acc = np.zeros(ctx.D, dtype=np.int64)
         for word, sign in words.items():
             g = cx.mat_prod([cx.sdot(i) for i in word]) if word else cx.identity
-            acc = (acc + sign * ctx.to_dense(act(ctx, g, one_vec(ctx)))) % ctx.ell
-        assert ctx.from_dense(acc) == eta
+            acc = (acc + sign * to_dense(ctx, act(ctx, g, one_vec(ctx)))) % ctx.ell
+        assert np.array_equal(acc, eta)
 
 
 def test_simple_reflections_negate_eta():
@@ -269,7 +280,7 @@ def test_simple_reflections_negate_eta():
         (ctx_for(2, 1, 2, 2, (0, 0), 1), frozenset({2})),
     ]
     for ctx, J in cases:
-        eta = ctx.eta(J)
+        eta = from_dense(ctx, ctx.eta(J))
         for j in sorted(J):
             flipped = act(ctx, ctx.chev.sdot(j), eta)
             assert flipped == {key: ctx.ell - c for key, c in eta.items()}
@@ -280,9 +291,9 @@ def test_simple_reflections_negate_eta():
 
 def test_spin_oracles_rank1():
     ctx = ctx_for(3, 1, 2, 1, (0,), 1)
-    assert ctx.spin([one_vec(ctx)]).dim == 4
+    assert ctx.spin([to_dense(ctx, one_vec(ctx))]).dim == 4
     assert ctx.spin([ctx.eta({1})]).dim == 3
-    assert ctx.spin([{}]).dim == 0
+    assert ctx.spin([np.zeros(ctx.D, dtype=np.int64)]).dim == 0
 
 
 def test_spin_matches_translate_span():
@@ -294,14 +305,14 @@ def test_spin_matches_translate_span():
         (ctx_for(2, 1, 2, 2, (0, 0), 1), frozenset({1, 2})),
     ]:
         spun = ctx.spin([ctx.eta(J)])
-        eta = ctx.eta(J)
+        eta = from_dense(ctx, ctx.eta(J))
         wJ = ctx.rs.longest(J)
         direct = mod.Subspace(ctx.D, ctx.ell)
         for w in ctx.rs.min_coset_reps(J):
             v = ctx.rs.mul(wJ, ctx.rs.inv(w))
             for u in ctx.chev.enum_U_w(v, ctx.k):
                 g = ctx.chev.mat_mul(u, ctx.chev.wdot(w))
-                direct.insert(ctx.to_dense(act(ctx, g, eta)))
+                direct.insert(to_dense(ctx, act(ctx, g, eta)))
         assert direct.dim == spun.dim
         assert direct.leq(spun) and spun.leq(direct)
 
@@ -331,7 +342,7 @@ def test_spin_stops_inserting_at_the_full_span(monkeypatch):
     monkeypatch.setattr(mod.Subspace, "contains", counted_contains)
     monkeypatch.setattr(mod.KeyedModule, "random_group_elt", counted_draw)
     ctx = mod.ModuleContext(chars_for(3, 1, 2, 1), (0,), 1)
-    spun = ctx.spin([one_vec(ctx)])
+    spun = ctx.spin([to_dense(ctx, one_vec(ctx))])
     assert spun.dim == ctx.D == dims[-1] + 1
     assert all(d < ctx.D for d in dims)
     assert draws == [] and checks == []
@@ -422,7 +433,7 @@ def test_e_module_spins_each_K_once(monkeypatch):
     assert len(spun) == len(Js)
     em = ctx.e_module(ctx.i_theta())
     with pytest.raises(ValueError, match="read-only"):
-        em.M.insert(ctx.to_dense(one_vec(ctx)))
+        em.M.insert(to_dense(ctx, one_vec(ctx)))
     assert [ctx.e_module(J).dim for J in Js] == [1, 6, 6, 8]
     assert len(spun) == len(Js)
 
@@ -631,7 +642,7 @@ def test_induced_full_flag_action_matches_module(p, r, theta, k, trivial):
         scales.update(scale.tolist())
     # a character trivial on the level-k torus only tests the permutations
     assert (scales == {1}) == trivial
-    assert nb.eta(J) == ctx.eta(J)
+    assert np.array_equal(nb.eta(J), ctx.eta(J))
 
 
 SOCLE_GRID = [
@@ -656,7 +667,7 @@ def test_socle_comparison_grid():
 def test_socle_generator_sign_pattern():
     ch = chars_for(2, 1, 2, 2)
     nb = induced_module(ch, (0, 0), {1}, 1)
-    d = nb.eta({1})
+    d = from_dense(nb, nb.eta({1}))
     assert len(d) == 2
     signs = sorted(d.values())
     assert signs == [1, nb.ell - 1]
@@ -684,4 +695,4 @@ def test_dense_sparse_round_trip():
         vec = {
             rng.choice(ctx.keys): rng.randrange(1, ctx.ell) for _ in range(4)
         }
-        assert ctx.from_dense(ctx.to_dense(vec)) == vec
+        assert from_dense(ctx, to_dense(ctx, vec)) == vec
